@@ -14,9 +14,8 @@ from .design import (
     acquisition_weight,
     boundary_probability,
     lhs,
-    sample_batch,
 )
-from .loess import LoessConfig, LoessModel, LoessPrediction, fit, predict
+from .loess import LoessConfig, LoessModel, LoessPrediction, fit
 from .reduced import (
     ModelVariant,
     ReducedState,

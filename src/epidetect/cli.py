@@ -322,13 +322,12 @@ def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
 
-    rows = []
-    for loc in grid:
-        pred = dmap.surrogate.predict(loc)
-        d = immediate_cost(float(loc[-1]), dmap.costs)
-        # the map's own decision, which is exact on the extinct line I1 = 0
-        rows.append([*(_fmt(float(v)) for v in loc), _fmt(pred.mean), _fmt(pred.stderr),
-                     _fmt(d), int(dmap.announce_location(loc))])
+    means, stderrs = dmap.surrogate.predict_many(grid)
+    # the map's own decision, which is exact on the extinct line I1 = 0
+    announce = dmap.score_locations(grid) > 0.0
+    rows = [[*(_fmt(float(v)) for v in loc), _fmt(float(mu)), _fmt(float(se)),
+             _fmt(immediate_cost(float(loc[-1]), dmap.costs)), int(a)]
+            for loc, mu, se, a in zip(grid, means, stderrs, announce)]
     coord_names = (["s1", "i1", "p"] if dmap.variant is ModelVariant.FULL3D
                    else ["i1", "p"])
     name = Path(map_path).stem

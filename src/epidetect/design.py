@@ -132,22 +132,3 @@ def sample_indices(
         probs = weights / total
     idx = rng.generator.choice(weights.shape[0], size=batch, replace=True, p=probs)
     return idx, fallback
-
-
-def sample_batch(
-    candidates: np.ndarray,
-    weights: np.ndarray,
-    batch: int,
-    rng: RngStream,
-) -> tuple[np.ndarray, bool]:
-    """Draw `batch` candidates with replacement, proportionally to `weights`.
-
-    Duplicates are welcome: design density encodes replication. The second
-    return value flags the all-zero-weights uniform fallback.
-    """
-    candidates = np.asarray(candidates, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if candidates.shape[0] != weights.shape[0]:
-        raise ValueError("one weight per candidate required")
-    idx, fallback = sample_indices(weights, batch, rng)
-    return candidates[idx], fallback

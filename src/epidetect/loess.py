@@ -119,7 +119,7 @@ class LoessModel:
         self.normalization = scales
         self._scaled = inputs / scales
         self._r = r
-        self._min_neighbors = min_nb
+        self._k = min(n, max(math.ceil(config.span * n), min_nb))  # neighborhood size
 
     @property
     def n_points(self) -> int:
@@ -129,21 +129,14 @@ class LoessModel:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def _neighborhood_size(self) -> int:
-        n = self.n_points
-        k = math.ceil(self.config.span * n)
-        return min(n, max(k, self._min_neighbors))
+    def _fit_at(self, x: np.ndarray, dist2: np.ndarray, with_se: bool, with_kernel: bool):
+        """The local fit at `x` from its squared scaled distances `dist2`.
 
-    def _predict_from_dist2(self, x: np.ndarray, dist2: np.ndarray,
-                            with_kernel: bool) -> LoessPrediction:
-        n = self.n_points
-        r = self._r
-        k = self._neighborhood_size()
-
-        if k == n:
-            d2max = dist2.max()
-        else:
-            d2max = np.partition(dist2, k - 1)[k - 1]
+        Returns the fitted mean alone when `with_se` is false, else a
+        `LoessPrediction` (carrying the length-N kernel row if asked for).
+        """
+        n, k = self.n_points, self._k
+        d2max = dist2.max() if k == n else np.partition(dist2, k - 1)[k - 1]
         members = np.flatnonzero(dist2 <= d2max)  # boundary ties all included
         k_size = members.size
 
@@ -164,35 +157,33 @@ class LoessModel:
         y = self.responses[members]
         B = _basis(xb, self.config.degree)
         bw = B * w[:, None]
-        M = B.T @ bw
-        degenerate = False
         try:
-            # a = M^{-1} e1 gives the equivalent-kernel row l = w * (B a);
-            # the Cholesky factorization doubles as the singularity test.
-            fac = cho_factor(M, lower=True, check_finite=False)
-            rhs = np.empty((r, 2))
-            rhs[:, 0] = bw.T @ y
-            rhs[:, 1] = 0.0
-            rhs[0, 1] = 1.0
-            sol = cho_solve(fac, rhs, check_finite=False)
-            coef = sol[:, 0]
-            l_local = w * (B @ sol[:, 1])
-            mean = float(coef[0])
-            resid = y - B @ coef
-            r_eff = r
+            # the Cholesky factorization doubles as the singularity test
+            fac = cho_factor(B.T @ bw, lower=True, check_finite=False)
         except LinAlgError:
-            degenerate = True
+            fac = None
+        if fac is None:  # singular local system: weighted mean
             l_local = w / sw
             mean = float(l_local @ y)
             resid = y - mean
             r_eff = 1
+        else:
+            # a = M^{-1} e1 gives the equivalent-kernel row l = w * (B a)
+            rhs = np.zeros((self._r, 2))
+            rhs[:, 0] = bw.T @ y
+            rhs[0, 1] = 1.0
+            sol = cho_solve(fac, rhs, check_finite=False)
+            mean = float(sol[0, 0])
+            if not with_se:
+                return mean
+            l_local = w * (B @ sol[:, 1])
+            resid = y - B @ sol[:, 0]
+            r_eff = self._r
+        if not with_se:
+            return mean
 
         dof = 1.0 - r_eff / k_size
-        if dof > 0:
-            sigma2 = float(w @ (resid * resid) / (sw * dof))
-        else:
-            sigma2 = 0.0
-        sigma2 = max(sigma2, 0.0)
+        sigma2 = max(float(w @ (resid * resid) / (sw * dof)), 0.0) if dof > 0 else 0.0
         knorm = float(np.sqrt(l_local @ l_local))
         stderr = math.sqrt(sigma2) * knorm
 
@@ -200,69 +191,38 @@ class LoessModel:
         if with_kernel:
             kern = np.zeros(n)
             kern[members] = l_local
-        return LoessPrediction(mean, stderr, knorm, sigma2, degenerate, kern)
+        return LoessPrediction(mean, stderr, knorm, sigma2, fac is None, kern)
 
-    def _mean_from_dist2(self, x: np.ndarray, dist2: np.ndarray) -> float:
-        """Fitted mean only; skips the standard-error machinery."""
-        n = self.n_points
-        k = self._neighborhood_size()
-        d2max = dist2.max() if k == n else np.partition(dist2, k - 1)[k - 1]
-        members = np.flatnonzero(dist2 <= d2max)
-        if self.config.kernel == "uniform" or d2max == 0.0:
-            w = np.ones(members.size)
-        else:
-            rel = np.sqrt(dist2[members] / d2max)
-            w = (1.0 - rel**3) ** 3
-            np.maximum(w, 0.0, out=w)
-        sw = w.sum()
-        if sw <= 0.0:
-            w = np.ones(members.size)
-            sw = float(members.size)
-        xb = (self.inputs[members] - x) / self.normalization
-        y = self.responses[members]
-        B = _basis(xb, self.config.degree)
-        bw = B * w[:, None]
-        try:
-            fac = cho_factor(B.T @ bw, lower=True, check_finite=False)
-            coef = cho_solve(fac, bw.T @ y, check_finite=False)
-            return float(coef[0])
-        except LinAlgError:
-            return float((w @ y) / sw)
+    def _query(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False):
+        """Yield the local fit at each row of the 2-D array `xs`; one distance pass."""
+        if xs.shape[1] != self.dim:
+            raise ValueError(f"queries have dimension {xs.shape[1]}, model expects {self.dim}")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("queries contain non-finite values")
+        dist2 = cdist(xs / self.normalization, self._scaled, "sqeuclidean")
+        for x, d2 in zip(xs, dist2):
+            yield self._fit_at(x, d2, with_se, with_kernel)
 
     def predict_mean(self, x) -> float:
         """Fitted mean at `x` without standard errors (fast path)."""
-        x = np.asarray(x, dtype=float).ravel()
-        diff = self._scaled - x / self.normalization
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        return self._mean_from_dist2(x, dist2)
+        return next(self._query(np.asarray(x, dtype=float).reshape(1, -1), with_se=False))
 
     def predict_mean_many(self, xs) -> np.ndarray:
         """Fitted means at each row of `xs` (fast path)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        dist2 = cdist(xs / self.normalization, self._scaled, "sqeuclidean")
-        return np.array([self._mean_from_dist2(xs[j], dist2[j]) for j in range(xs.shape[0])])
+        return np.fromiter(self._query(xs, with_se=False), float, count=xs.shape[0])
 
     def predict(self, x, with_kernel: bool = False) -> LoessPrediction:
         """Local fit at the query point `x` (length-d array-like)."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"query has dimension {x.shape[0]}, model expects {self.dim}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("query point contains non-finite values")
-        diff = self._scaled - x / self.normalization
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        return self._predict_from_dist2(x, dist2, with_kernel)
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        return next(self._query(x, with_se=True, with_kernel=with_kernel))
 
     def predict_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Means and standard errors at each row of `xs`; batch distance pass."""
+        """Means and standard errors at each row of `xs`."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[1] != self.dim:
-            raise ValueError(f"queries have dimension {xs.shape[1]}, model expects {self.dim}")
-        dist2 = cdist(xs / self.normalization, self._scaled, "sqeuclidean")
         means = np.empty(xs.shape[0])
         stderrs = np.empty(xs.shape[0])
-        for j in range(xs.shape[0]):
-            pred = self._predict_from_dist2(xs[j], dist2[j], with_kernel=False)
+        for j, pred in enumerate(self._query(xs, with_se=True)):
             means[j] = pred.mean
             stderrs[j] = pred.stderr
         return means, stderrs
@@ -272,7 +232,3 @@ def fit(inputs, responses, config: LoessConfig = LoessConfig()) -> LoessModel:
     """Fit a loess model; the data plus per-coordinate scales are the model."""
     return LoessModel(inputs, responses, config)
 
-
-def predict(model: LoessModel, x, with_kernel: bool = False) -> LoessPrediction:
-    """Module-level alias for `LoessModel.predict`."""
-    return model.predict(x, with_kernel=with_kernel)

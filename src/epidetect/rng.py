@@ -37,24 +37,5 @@ class RngStream:
         """The underlying numpy Generator (for hot loops)."""
         return self._gen
 
-    # Convenience passthroughs so most callers never touch `.generator`.
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def exponential(self, scale=1.0, size=None):
-        return self._gen.exponential(scale, size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, x):
-        return self._gen.permutation(x)
-
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, path={self.path})"

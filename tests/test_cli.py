@@ -8,6 +8,8 @@ import pytest
 from epidetect.cli import main
 from epidetect.solver import DetectionMap
 
+REPO = Path(__file__).resolve().parents[1]
+
 BASE_CONFIG = {
     "master_seed": 321,
     "variant": "lp2d",
@@ -280,3 +282,32 @@ class TestExportMap:
         assert "master_seed=321" in prov
         assert len(rows) == 64
         assert set(rows[0]) == {"i1", "p", "qhat", "stderr", "d", "announce"}
+        dmap = DetectionMap.load(map_path)
+        grid = np.array([[float(row["i1"]), float(row["p"])] for row in rows])
+        means, stderrs = dmap.surrogate.predict_many(grid)
+        announce = dmap.score_locations(grid) > 0.0
+        for row, mu, se, a in zip(rows, means, stderrs, announce):
+            assert float(row["qhat"]) == mu
+            assert float(row["stderr"]) == se
+            assert row["announce"] == str(int(a))
+
+
+@pytest.mark.slow
+def test_readme_commands_reproduce_committed_quick_lp(tmp_path, monkeypatch):
+    """The README "Command line" block rewrites `out/quick_lp/` byte for byte."""
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "quick_lp.json").write_bytes(
+        (REPO / "configs" / "quick_lp.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    cfg = "configs/quick_lp.json"
+    assert main(["solve", "--config", cfg, "--workers", "2"]) == 0
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["export-map", "--map", "out/quick_lp/maps/map_t08.json",
+                 "--out", "out/quick_lp", "--grid", "20"]) == 0
+    committed = REPO / "out" / "quick_lp"
+    written = tmp_path / "out" / "quick_lp"
+    names = sorted(p.relative_to(committed) for p in committed.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(written) for p in written.rglob("*") if p.is_file())
+    for name in names:
+        assert (written / name).read_bytes() == (committed / name).read_bytes(), name

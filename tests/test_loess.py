@@ -70,6 +70,16 @@ class TestFitValidation:
             fit(X, [1.0, 2.0, 3.0, 4.0], LoessConfig(span=1.0))
         with pytest.raises(ValueError):
             fit(np.array([[0.0], [1.0]]), [1.0, np.inf], LoessConfig(span=1.0, degree=0))
+        model = fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                    [1.0, 2.0, 3.0, 4.0], LoessConfig(span=1.0))
+        for query in (model.predict, model.predict_mean,
+                      model.predict_many, model.predict_mean_many):
+            with pytest.raises(ValueError):
+                query([0.5, np.nan])
+            with pytest.raises(ValueError):
+                query([[0.5, 0.5], [np.inf, 0.5]])
+            with pytest.raises(ValueError):
+                query([0.5, 0.5, 0.5])
 
     def test_dimension_cap(self):
         X = np.zeros((20, 5))
@@ -199,15 +209,16 @@ class TestPredictionProperties:
         assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
         assert min(y) <= pred.mean <= max(y)
 
-    def test_predict_many_matches_predict(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_predict_many_matches_predict(self, d):
         rng = np.random.default_rng(13)
-        X = rng.uniform(0, 1, size=(45, 2))
+        X = rng.uniform(0, 1, size=(45, d))
         y = rng.normal(size=45)
         model = fit(X, y, LoessConfig(span=0.45))
-        Q = rng.uniform(0, 1, size=(12, 2))
+        Q = rng.uniform(0, 1, size=(12, d))
         means, stderrs = model.predict_many(Q)
+        batch_means = model.predict_mean_many(Q)
         for j in range(12):
             pred = model.predict(Q[j])
-            assert means[j] == pytest.approx(pred.mean, abs=1e-12)
-            assert stderrs[j] == pytest.approx(pred.stderr, abs=1e-12)
-            assert model.predict_mean(Q[j]) == pytest.approx(pred.mean, abs=1e-12)
+            assert means[j] == pred.mean == batch_means[j] == model.predict_mean(Q[j])
+            assert stderrs[j] == pred.stderr
