@@ -20,19 +20,15 @@ from .reduced import (
     ModelVariant,
     ReducedState,
     drift,
-    gaussian_noise,
-    simulate_reduced,
     step,
 )
 from .rng import RngStream
 from .sir import (
-    Channel,
     EpidemicParams,
     MultiPoolState,
     PoolState,
     outbreak_time,
     simulate_interval,
-    transition_rates,
 )
 from .solver import (
     DetectionMap,
@@ -51,12 +47,9 @@ from .strategy import (
     StrategyReport,
     ThresholdP,
     ThresholdT,
-    decide,
-    evaluate,
     evaluate_on,
     paired_compare,
     simulate_paths,
-    sweep_threshold_t,
 )
 
 __version__ = "0.1.0"

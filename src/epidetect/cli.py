@@ -21,10 +21,10 @@ import numpy as np
 from . import parallel
 from .config import ConfigError, RunConfig, load_config
 from .costs import immediate_cost
-from .reduced import ModelVariant, ReducedState
+from .reduced import ModelVariant
 from .rng import RngStream
 from .sir import MultiPoolState, PoolState, outbreak_time, simulate_interval
-from .solver import DetectionMap, MapSequence, solve
+from .solver import DetectionMap, solve
 from .strategy import (
     MapPolicy,
     Policy,
@@ -272,9 +272,11 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
         sim.x0, sim.n_paths, sim.horizon, cfg.epidemic, cfg.variant, rng, workers=workers
     )
     rows = []
-    for n, path in enumerate(frozen.paths):
-        for t, st in enumerate(path):
-            rows.append([n, t, st.s1, st.i1, _fmt(st.p)])
+    for n in range(frozen.n_paths):
+        # tolist() gives Python ints and floats, so `_fmt` prints reprs, not np.float64(...)
+        stages = zip(frozen.s1[n].tolist(), frozen.i1[n].tolist(), frozen.p[n].tolist())
+        for t, (s1, i1, p) in enumerate(stages):
+            rows.append([n, t, s1, i1, _fmt(p)])
     _write_csv(out / "trajectories.csv", ["path", "t", "s1", "i1", "p"],
                rows, chash, cfg.master_seed)
     print(f"simulate: wrote {sim.n_paths} reduced trajectories to {out / 'trajectories.csv'}")

@@ -103,13 +103,17 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _parse_x0(value: Any, where: str) -> ReducedState:
+def _parse_x0(value: Any, where: str, pool_size: int) -> ReducedState:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ConfigError(f"'{where}.x0' must be a 3-element list [s1, i1, p]")
     try:
-        return ReducedState(int(value[0]), int(value[1]), float(value[2]))
+        x0 = ReducedState(int(value[0]), int(value[1]), float(value[2]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{where}.x0': {exc}") from exc
+    if x0.s1 + x0.i1 > pool_size:
+        raise ConfigError(f"invalid '{where}.x0': s1 + i1 = {x0.s1 + x0.i1} exceeds "
+                          f"the Pool-1 size {pool_size}")
+    return x0
 
 
 def load_config(
@@ -222,7 +226,8 @@ def parse_config(
     evaluate: Optional[EvaluateSettings] = None
     if eval_raw:
         used = set()
-        x0 = _parse_x0(_take(eval_raw, used, "x0", required=True), "evaluate")
+        x0 = _parse_x0(_take(eval_raw, used, "x0", required=True), "evaluate",
+                       epidemic.pool_sizes[0])
         policies = _take(eval_raw, used, "policies", [])
         if not isinstance(policies, list) or not all(isinstance(p, dict) for p in policies):
             raise ConfigError("'evaluate.policies' must be a list of policy objects")
@@ -243,7 +248,8 @@ def parse_config(
     simulate: Optional[SimulateSettings] = None
     if sim_raw:
         used = set()
-        x0 = _parse_x0(_take(sim_raw, used, "x0", required=True), "simulate")
+        x0 = _parse_x0(_take(sim_raw, used, "x0", required=True), "simulate",
+                       epidemic.pool_sizes[0])
         try:
             simulate = SimulateSettings(
                 x0=x0,

@@ -45,17 +45,6 @@ class ReducedState:
             raise ValueError(f"outbreak probability must lie in [0, 1], got {self.p}")
 
 
-def gaussian_noise(sigma_delta: float) -> NoiseSampler:
-    """Centered Gaussian noise sampler (the default pseudo-posterior noise)."""
-    if sigma_delta < 0:
-        raise ValueError(f"sigma_delta must be nonnegative, got {sigma_delta}")
-
-    def sample(gen) -> float:
-        return gen.normal(0.0, sigma_delta)
-
-    return sample
-
-
 def drift(x: ReducedState, params: EpidemicParams) -> float:
     """One-stage upward drift of P: alpha * beta * I1 * (1 - P)."""
     return params.alpha * params.beta * x.i1 * (1.0 - x.p)
@@ -118,22 +107,3 @@ def step(
         elif p_next >= 1.0:
             p_next = 1.0
     return ReducedState(s1, i1, p_next)
-
-
-def simulate_reduced(
-    x0: ReducedState,
-    horizon: int,
-    params: EpidemicParams,
-    variant: ModelVariant,
-    rng: RngStream,
-    noise: Optional[NoiseSampler] = None,
-) -> list[ReducedState]:
-    """Trajectory of length `horizon` + 1 starting at `x0` (stage 0)."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    path = [x0]
-    x = x0
-    for _ in range(horizon):
-        x = step(x, params, variant, rng, noise=noise)
-        path.append(x)
-    return path

@@ -15,7 +15,7 @@ exponential holding times; rates are recomputed after every event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rng import RngStream
 
@@ -96,44 +96,6 @@ class MultiPoolState:
             pool.recovered(m)  # raises if S + I > M
 
 
-class Channel(NamedTuple):
-    """Identifier of one reaction channel."""
-
-    kind: str  # "infection" | "transmission" | "recovery"
-    pool: int  # pool whose compartments change
-    source: Optional[int] = None  # infecting pool, transmission only
-
-
-def transition_rates(
-    state: MultiPoolState, params: EpidemicParams
-) -> list[tuple[Channel, float]]:
-    """All 2K + K(K-1) channel rates at `state`.
-
-    Order: infections for k = 0..K-1, transmissions for ordered pairs
-    (k, k') with k' != k, recoveries for k = 0..K-1. All rates are
-    nonnegative; every rate is zero once no pool has infecteds.
-    """
-    state.validate(params)
-    beta, gamma, alpha = params.beta, params.gamma, params.alpha
-    sizes = params.pool_sizes
-    K = params.n_pools
-    s = [p.susceptible for p in state.pools]
-    i = [p.infected for p in state.pools]
-
-    rates: list[tuple[Channel, float]] = []
-    for k in range(K):
-        rates.append((Channel("infection", k), beta * i[k] * s[k] / sizes[k]))
-    for k in range(K):
-        for kp in range(K):
-            if kp != k:
-                rates.append(
-                    (Channel("transmission", k, kp), alpha * beta * i[kp] * s[k] / sizes[k])
-                )
-    for k in range(K):
-        rates.append((Channel("recovery", k), gamma * i[k]))
-    return rates
-
-
 def single_pool_interval(
     s: int, i: int, m: int, beta: float, gamma: float, duration: float,
     gen,
@@ -143,8 +105,13 @@ def single_pool_interval(
     Tight kernel used both by `simulate_interval` for K = 1 and by the
     reduced detection model for Pool-1 dynamics. Draw protocol per event:
     one standard exponential for the holding time, one uniform for channel
-    selection (infection scanned before recovery).
+    selection (infection scanned before recovery). Raises ValueError unless
+    S >= 0, I >= 0 and S + I <= M; the events keep that invariant, since S
+    falls only by infection (rate 0 at S = 0), I falls only while I > 0, and
+    S + I never rises.
     """
+    if s < 0 or i < 0 or s + i > m:
+        raise ValueError(f"pool state S={s}, I={i} does not fit pool size {m}")
     t = 0.0
     next_exp = gen.standard_exponential
     next_u = gen.random
@@ -159,44 +126,7 @@ def single_pool_interval(
             i += 1
         else:
             i -= 1
-        assert s >= 0 and i >= 0 and s + i <= m
     return s, i
-
-
-def first_event(
-    state: MultiPoolState, params: EpidemicParams, rng: RngStream
-) -> Optional[tuple[Channel, float, MultiPoolState]]:
-    """Draw the next reaction: (channel, waiting time, new state).
-
-    Returns None when the total rate is zero (frozen state). Uses the same
-    draw protocol as `simulate_interval`: one standard exponential for the
-    holding time, one uniform scanned against the `transition_rates` order.
-    """
-    pairs = transition_rates(state, params)
-    total = 0.0
-    for _, r in pairs:
-        total += r
-    if total <= 0.0:
-        return None
-    gen = rng.generator
-    dt = gen.standard_exponential() / total
-    u = gen.random() * total
-    acc = 0.0
-    chosen = pairs[-1][0]
-    for ch, r in pairs:
-        acc += r
-        if u < acc:
-            chosen = ch
-            break
-    s = [p.susceptible for p in state.pools]
-    i = [p.infected for p in state.pools]
-    if chosen.kind == "recovery":
-        i[chosen.pool] -= 1
-    else:  # infection or transmission both move one susceptible to infected
-        s[chosen.pool] -= 1
-        i[chosen.pool] += 1
-    pools = tuple(PoolState(sk, ik) for sk, ik in zip(s, i))
-    return chosen, dt, MultiPoolState(pools, state.time + dt)
 
 
 def simulate_interval(
@@ -272,8 +202,6 @@ def simulate_interval(
             i[k] += 1
         else:  # recovery
             i[idx - n_inf - n_trans] -= 1
-        for k in range(K):
-            assert s[k] >= 0 and i[k] >= 0 and s[k] + i[k] <= sizes[k]
 
     pools = tuple(PoolState(s[k], i[k]) for k in range(K))
     return MultiPoolState(pools, state.time + duration)

@@ -198,10 +198,10 @@ class DetectionMap:
         self.master_seed = int(master_seed)
         self.build_info = build_info or {}
 
-    def location(self, x: ReducedState) -> np.ndarray:
-        if self.variant is ModelVariant.FULL3D:
-            return np.array([x.s1, x.i1, x.p], dtype=float)
-        return np.array([x.i1, x.p], dtype=float)
+    def location(self, s1, i1, p) -> np.ndarray:
+        """Map coordinates of scalar states, or one row per state for arrays."""
+        coords = [s1, i1, p] if self.variant is ModelVariant.FULL3D else [i1, p]
+        return np.stack(coords, axis=-1, dtype=float)
 
     def score_location(self, loc) -> float:
         """qhat(loc) - d(loc); positive means announce."""
@@ -217,11 +217,8 @@ class DetectionMap:
         scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
         return scores
 
-    def announce_location(self, loc) -> bool:
-        return self.score_location(loc) > 0.0
-
     def announce(self, x: ReducedState) -> bool:
-        return self.announce_location(self.location(x))
+        return self.score_location(self.location(x.s1, x.i1, x.p)) > 0.0
 
     # -- persistence ------------------------------------------------------
 
@@ -305,7 +302,6 @@ def path_and_cost(
     *,
     mpc_switch: Optional[int] = None,
     noise: Optional[NoiseSampler] = None,
-    stepper=None,
 ) -> tuple[int, float]:
     """Simulate one scenario from `x0` under the iteration-t stopping rule.
 
@@ -314,9 +310,6 @@ def path_and_cost(
     guaranteed stop). With `mpc_switch` set and t beyond it, membership is
     instead tested against the single latest map while the stage cap s <= t
     is kept. Returns (tau, realized pathwise cost).
-
-    `stepper(state, rng) -> state` overrides the one-stage dynamics (used
-    by tests with deterministic dynamics).
     """
     if t < 1:
         raise ValueError(f"iteration t must be at least 1, got {t}")
@@ -326,21 +319,15 @@ def path_and_cost(
 
     p_path = [x0.p]
     x = x0
-    tau = t
     for s in range(1, t + 1):
-        if stepper is None:
-            x = step(x, params, variant, rng, noise=noise)
-        else:
-            x = stepper(x, rng)
+        x = step(x, params, variant, rng, noise=noise)
         p_path.append(x.p)
         if s == t:
-            tau = s  # map 0 announces everywhere
-            break
+            break  # map 0 announces everywhere
         dmap = maps[t - 2] if mpc else maps[t - s - 1]
         if dmap.announce(x):
-            tau = s
             break
-    return tau, pathwise_cost(p_path, tau, costs)
+    return s, pathwise_cost(p_path, s, costs)
 
 
 def build_map(
@@ -517,12 +504,6 @@ class MapSequence:
 
     def final(self) -> DetectionMap:
         return self.maps[-1]
-
-    def announce(self, iteration: int, x: ReducedState) -> bool:
-        """Announce decision of map `iteration`; iteration <= 0 announces everywhere."""
-        if iteration <= 0:
-            return True
-        return self.maps[iteration - 1].announce(x)
 
 
 def solve(

@@ -4,12 +4,14 @@ Policies decide, at each integer stage, whether to announce the outbreak.
 Because every policy here is a functional of the trajectory (none alters
 the dynamics), all policies are scored against the same frozen set of
 full-horizon trajectories: common random numbers make scenario-by-scenario
-comparisons meaningful.
+comparisons meaningful. A frozen set stores its trajectories as three
+(n_paths, horizon + 1) arrays, and a policy decides one stage at a time for
+every path that has not announced yet.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -19,8 +21,6 @@ from .reduced import ModelVariant, NoiseSampler, ReducedState, step
 from .rng import RngStream
 from .sir import EpidemicParams
 from .solver import DetectionMap
-
-DEFAULT_HORIZON = 50
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class ThresholdP:
     def name(self) -> str:
         return f"threshold_p_{self.p_bar:g}"
 
-    def decide(self, x: ReducedState, t: int) -> bool:
-        return x.p >= self.p_bar
+    def decide(self, s1: np.ndarray, i1: np.ndarray, p: np.ndarray, t: int) -> np.ndarray:
+        return p >= self.p_bar
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class ThresholdT:
     def name(self) -> str:
         return f"threshold_t_{self.t_bar}"
 
-    def decide(self, x: ReducedState, t: int) -> bool:
-        return t >= self.t_bar
+    def decide(self, s1: np.ndarray, i1: np.ndarray, p: np.ndarray, t: int) -> np.ndarray:
+        return np.full(p.shape, t >= self.t_bar)
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,26 @@ class MapPolicy:
         tag = "optimal_map" if self.dmap.variant is ModelVariant.FULL3D else "lp_map"
         return tag
 
-    def decide(self, x: ReducedState, t: int) -> bool:
-        return self.dmap.announce(x)
+    def decide(self, s1: np.ndarray, i1: np.ndarray, p: np.ndarray, t: int) -> np.ndarray:
+        return self.dmap.score_locations(self.dmap.location(s1, i1, p)) > 0.0
 
 
+# `decide(s1, i1, p, t)` takes the stage-t states of a block of paths as
+# arrays and returns one boolean announce decision per path
 Policy = Union[ThresholdP, ThresholdT, MapPolicy]
-
-
-def decide(policy: Policy, x: ReducedState, t: int) -> bool:
-    """Announce decision of `policy` in state `x` at stage `t`."""
-    return policy.decide(x, t)
 
 
 @dataclass
 class FrozenPaths:
-    """A reusable batch of full-horizon detection-state trajectories."""
+    """A reusable batch of full-horizon detection-state trajectories.
 
-    paths: list[list[ReducedState]]
+    Row n of `s1`, `i1` (int64) and `p` (float64), each of shape
+    (n_paths, horizon + 1), is path n at stages 0..horizon.
+    """
+
+    s1: np.ndarray
+    i1: np.ndarray
+    p: np.ndarray
     x0: ReducedState
     horizon: int
     variant: ModelVariant
@@ -106,7 +109,7 @@ class FrozenPaths:
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        return self.p.shape[0]
 
     def fingerprint(self) -> tuple:
         """Identity of the scenario set; evaluations are only comparable
@@ -145,18 +148,22 @@ def simulate_paths(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     variant = ModelVariant(variant)
 
-    def run(n: int) -> list[ReducedState]:
+    def run(n: int) -> tuple[list[int], list[int], list[float]]:
         stream = rng.derive(n)
-        path = [x0]
         x = x0
+        s1, i1, p = [x.s1], [x.i1], [x.p]
         for _ in range(horizon):
             x = step(x, params, variant, stream, noise=noise)
-            path.append(x)
-        return path
+            s1.append(x.s1)
+            i1.append(x.i1)
+            p.append(x.p)
+        return s1, i1, p
 
-    paths = parallel.indexed_map(run, n_paths, workers)
+    s1, i1, p = zip(*parallel.indexed_map(run, n_paths, workers))
     return FrozenPaths(
-        paths=paths,
+        s1=np.array(s1, dtype=np.int64),
+        i1=np.array(i1, dtype=np.int64),
+        p=np.array(p, dtype=np.float64),
         x0=x0,
         horizon=horizon,
         variant=variant,
@@ -203,62 +210,39 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
 
     The stopping stage is the first t >= 1 where the policy announces,
     force-announcing at the horizon (counted as a cap hit) if it never
-    does.
+    does. The policy is asked once per stage, for the paths still waiting.
     """
-    horizon = paths.horizon
-    taus = np.empty(paths.n_paths)
-    costs_out = np.empty(paths.n_paths)
-    p_taus = np.empty(paths.n_paths)
-    cap_hits = 0
-    for n, path in enumerate(paths.paths):
-        tau = horizon
-        announced = False
-        for t in range(1, horizon + 1):
-            if policy.decide(path[t], t):
-                tau = t
-                announced = True
-                break
-        if not announced:
-            cap_hits += 1
-        p_path = [st.p for st in path[: tau + 1]]
-        taus[n] = tau
-        costs_out[n] = pathwise_cost(p_path, tau, costs)
-        p_taus[n] = path[tau].p
+    horizon, n_paths = paths.horizon, paths.n_paths
+    tau = np.full(n_paths, horizon)
+    waiting = np.ones(n_paths, dtype=bool)
+    for t in range(1, horizon + 1):
+        rows = np.flatnonzero(waiting)
+        if rows.size == 0:
+            break
+        stop = rows[policy.decide(paths.s1[rows, t], paths.i1[rows, t], paths.p[rows, t], t)]
+        tau[stop] = t
+        waiting[stop] = False
 
-    sd = float(np.std(taus, ddof=1)) if paths.n_paths > 1 else 0.0
-    sd_cost = float(np.std(costs_out, ddof=1)) if paths.n_paths > 1 else 0.0
+    taus = tau.astype(float)
+    costs_out = np.array([pathwise_cost(paths.p[n], tau[n], costs) for n in range(n_paths)])
+    p_taus = paths.p[np.arange(n_paths), tau]
+    sd = float(np.std(taus, ddof=1)) if n_paths > 1 else 0.0
+    sd_cost = float(np.std(costs_out, ddof=1)) if n_paths > 1 else 0.0
     return StrategyReport(
         policy_name=policy.name,
-        n_paths=paths.n_paths,
+        n_paths=n_paths,
         mean_tau=float(np.mean(taus)),
         sd_tau=sd,
         mean_cost=float(np.mean(costs_out)),
         sd_cost=sd_cost,
         pfa=float(np.mean(1.0 - p_taus)),
-        cap_hits=cap_hits,
+        cap_hits=int(np.count_nonzero(waiting)),
         horizon=horizon,
         taus=taus,
         costs=costs_out,
         p_taus=p_taus,
         fingerprint=paths.fingerprint(),
     )
-
-
-def evaluate(
-    policy: Policy,
-    x0: ReducedState,
-    n_paths: int,
-    params: EpidemicParams,
-    costs: CostParams,
-    variant: ModelVariant,
-    rng: RngStream,
-    *,
-    horizon: int = DEFAULT_HORIZON,
-    noise: Optional[NoiseSampler] = None,
-) -> StrategyReport:
-    """Simulate a fresh frozen scenario set and evaluate `policy` on it."""
-    paths = simulate_paths(x0, n_paths, horizon, params, variant, rng, noise=noise)
-    return evaluate_on(policy, paths, costs)
 
 
 @dataclass
@@ -294,13 +278,3 @@ def paired_compare(report_a: StrategyReport, report_b: StrategyReport) -> Paired
         mean_diff=float(np.mean(diffs)),
     )
 
-
-def sweep_threshold_t(
-    paths: FrozenPaths, costs: CostParams, t_values: Sequence[int]
-) -> list[tuple[int, float]]:
-    """Mean realized cost of fixed-stage announcement per candidate stage."""
-    out = []
-    for t_bar in t_values:
-        report = evaluate_on(ThresholdT(t_bar), paths, costs)
-        out.append((int(t_bar), report.mean_cost))
-    return out

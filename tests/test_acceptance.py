@@ -34,13 +34,12 @@ from epidetect import (
     pathwise_cost,
     simulate_interval,
     simulate_paths,
-    simulate_reduced,
     solve,
-    transition_rates,
 )
 from epidetect.loess import LoessConfig, fit
 from epidetect.solver import boundary_in_p, trace_distance
 
+from .sir_oracle import transition_rates
 from .test_loess import dense_wls_oracle
 
 pytestmark = pytest.mark.acceptance
@@ -250,16 +249,15 @@ def test_criterion_6_property_bundle(solved_lp2d):
 
     # P absorption and clamping
     absorbed, clamped = True, True
-    root = RngStream(62)
-    for n in range(40):
-        path = simulate_reduced(ReducedState(1990, 10, 0.9), 15, CASE_PARAMS,
-                                ModelVariant.FULL3D, root.derive(n))
+    paths = simulate_paths(ReducedState(1990, 10, 0.9), 40, 15, CASE_PARAMS,
+                           ModelVariant.FULL3D, RngStream(62))
+    for path in paths.p.tolist():
         hit = False
-        for st in path:
-            clamped &= 0.0 <= st.p <= 1.0
+        for p in path:
+            clamped &= 0.0 <= p <= 1.0
             if hit:
-                absorbed &= st.p == 1.0
-            hit = hit or st.p == 1.0
+                absorbed &= p == 1.0
+            hit = hit or p == 1.0
     c.check("P stays in [0,1] (clamping)", clamped)
     c.check("P = 1 is absorbing", absorbed)
 
@@ -314,7 +312,7 @@ def test_criterion_6_property_bundle(solved_lp2d):
     # fitted maps announce wherever the outbreak is certain
     seq, _ = solved_lp2d
     certain_ok = all(
-        dmap.announce_location(np.array([i1, 1.0]))
+        dmap.score_location(np.array([i1, 1.0])) > 0.0
         for dmap in seq.maps
         for i1 in (0.0, 100.0, 250.0, 400.0)
     )

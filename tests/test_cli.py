@@ -232,6 +232,18 @@ class TestSimulateCommand:
         assert len(rows) == 3 * 9  # n_paths * (horizon + 1)
         assert all(0.0 <= float(r["p"]) <= 1.0 for r in rows)
 
+    def test_x0_beyond_pool_size_is_config_error(self, tmp_path, capsys):
+        # S1 + I1 = 2010 cannot fit a Pool 1 of 2000
+        cfg = write_config(tmp_path, overrides={
+            "variant": "full3d",
+            "simulate": {"x0": [2000, 10, 0.1], "n_paths": 2, "horizon": 3},
+        })
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--workers", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "simulate.x0" in err and "Pool-1 size 2000" in err
+
     @pytest.mark.slow
     def test_case_study_trajectories_drift_up_and_absorb(self, tmp_path):
         """Outbreak probability trends up and some paths reach certainty."""

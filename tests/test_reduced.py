@@ -8,8 +8,7 @@ from epidetect import (
     ReducedState,
     RngStream,
     drift,
-    gaussian_noise,
-    simulate_reduced,
+    simulate_paths,
     step,
 )
 
@@ -101,58 +100,50 @@ class TestStep:
 
 
 class TestSimulateReduced:
+    """Reduced-state trajectories as `simulate_paths` stores them."""
+
     def test_horizon_zero_rejected(self, case_params, case_x0):
         with pytest.raises(ValueError):
-            simulate_reduced(case_x0, 0, case_params, ModelVariant.FULL3D, RngStream(1))
+            simulate_paths(case_x0, 1, 0, case_params, ModelVariant.FULL3D, RngStream(1))
 
     def test_horizon_one_gives_two_states(self, case_params, case_x0):
-        path = simulate_reduced(case_x0, 1, case_params, ModelVariant.FULL3D, RngStream(1))
-        assert len(path) == 2
-        assert path[0] == case_x0
+        paths = simulate_paths(case_x0, 1, 1, case_params, ModelVariant.FULL3D, RngStream(1))
+        assert paths.p.shape == (1, 2)
+        assert (paths.s1[0, 0], paths.i1[0, 0], paths.p[0, 0]) == \
+            (case_x0.s1, case_x0.i1, case_x0.p)
 
     def test_extinct_epidemic_is_pure_noise_walk(self, case_params):
         x0 = ReducedState(2000, 0, 0.3)
-        path = simulate_reduced(x0, 30, case_params, ModelVariant.FULL3D, RngStream(4))
-        assert all(st.i1 == 0 and st.s1 == 2000 for st in path)
-        assert all(0.0 <= st.p <= 1.0 for st in path)
+        paths = simulate_paths(x0, 1, 30, case_params, ModelVariant.FULL3D, RngStream(4))
+        assert np.all(paths.i1 == 0) and np.all(paths.s1 == 2000)
+        assert np.all((0.0 <= paths.p) & (paths.p <= 1.0))
 
     def test_absorption_is_permanent_along_paths(self, case_params):
-        root = RngStream(6)
-        for n in range(50):
-            path = simulate_reduced(
-                ReducedState(1990, 10, 0.9), 20, case_params,
-                ModelVariant.FULL3D, root.derive(n),
-            )
+        paths = simulate_paths(ReducedState(1990, 10, 0.9), 50, 20, case_params,
+                               ModelVariant.FULL3D, RngStream(6))
+        for p in paths.p:
             hit = False
-            for st in path:
+            for p_t in p:
                 if hit:
-                    assert st.p == 1.0
-                if st.p == 1.0:
+                    assert p_t == 1.0
+                if p_t == 1.0:
                     hit = True
 
     def test_noise_free_p_strictly_increases_until_absorbed(self):
         params = EpidemicParams(0.75, 0.5, 0.01, (2000,), sigma_delta=0.0)
-        path = simulate_reduced(
-            ReducedState(1990, 50, 0.1), 30, params, ModelVariant.LP2D, RngStream(7)
-        )
-        for prev, cur in zip(path, path[1:]):
-            if prev.p < 1.0 and prev.i1 > 0:
-                assert cur.p > prev.p
-            if prev.p == 1.0:
-                assert cur.p == 1.0
+        paths = simulate_paths(ReducedState(1990, 50, 0.1), 1, 30, params,
+                               ModelVariant.LP2D, RngStream(7))
+        p, i1 = paths.p[0], paths.i1[0]
+        for t in range(30):
+            if p[t] < 1.0 and i1[t] > 0:
+                assert p[t + 1] > p[t]
+            if p[t] == 1.0:
+                assert p[t + 1] == 1.0
 
     @pytest.mark.slow
     def test_mean_p_is_nondecreasing_over_time(self, case_params):
         """Positive drift: across paths the average P rises with t."""
-        root = RngStream(12)
-        horizon = 12
-        acc = np.zeros(horizon + 1)
-        n = 1000
-        for j in range(n):
-            path = simulate_reduced(
-                ReducedState(1995, 5, 0.0), horizon, case_params,
-                ModelVariant.FULL3D, root.derive(j),
-            )
-            acc += [st.p for st in path]
-        mean_p = acc / n
+        paths = simulate_paths(ReducedState(1995, 5, 0.0), 1000, 12, case_params,
+                               ModelVariant.FULL3D, RngStream(12))
+        mean_p = paths.p.mean(axis=0)
         assert np.all(np.diff(mean_p) > -1e-3), mean_p

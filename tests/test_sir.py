@@ -9,8 +9,10 @@ from epidetect import (
     RngStream,
     outbreak_time,
     simulate_interval,
-    transition_rates,
 )
+from epidetect.sir import single_pool_interval
+
+from .sir_oracle import Channel, first_event, transition_rates
 
 
 def two_pool_state(s1, i1, s2, i2, time=0.0):
@@ -21,12 +23,10 @@ class TestTransitionRates:
     def test_pool1_infection_rate_hand_value(self, case_params):
         st = two_pool_state(1990, 10, 2000, 0)
         rates = dict(transition_rates(st, case_params))
-        from epidetect import Channel
         assert rates[Channel("infection", 0)] == pytest.approx(7.4625, rel=1e-12)
 
     def test_cross_pool_transmission_hand_value(self, case_params):
         st = two_pool_state(1990, 10, 2000, 0)
-        from epidetect import Channel
         rates = dict(transition_rates(st, case_params))
         # alpha*beta*I1*S2/M2 = 0.01*0.75*10*2000/2000
         assert rates[Channel("transmission", 1, 0)] == pytest.approx(0.075, rel=1e-12)
@@ -116,8 +116,6 @@ class TestSimulateInterval:
     @pytest.mark.slow
     def test_channel_selection_frequencies_small_instance(self):
         """Empirical first-event channel frequencies vs normalized rates (M <= 4)."""
-        from epidetect.sir import first_event
-
         params = EpidemicParams(beta=1.0, gamma=0.7, alpha=0.3, pool_sizes=(4, 3))
         st = MultiPoolState((PoolState(2, 2), PoolState(2, 1)))
         pairs = transition_rates(st, params)
@@ -137,8 +135,6 @@ class TestSimulateInterval:
 
     def test_first_event_iteration_matches_simulate_interval(self, case_params):
         """Iterating first_event reproduces simulate_interval draw for draw."""
-        from epidetect.sir import first_event
-
         for seed, k_pools in [(4, 2), (9, 2), (13, 1)]:
             params = case_params if k_pools == 2 else EpidemicParams(
                 0.75, 0.5, 0.01, (2000,)
@@ -201,3 +197,9 @@ class TestValidation:
         assert PoolState(90, 5).recovered(100) == 5
         with pytest.raises(ValueError):
             PoolState(90, 20).recovered(100)
+
+    @pytest.mark.parametrize("s, i", [(2000, 10), (-1, 5), (1990, -1)])
+    def test_single_pool_kernel_rejects_impossible_state(self, s, i):
+        gen = RngStream(1).generator
+        with pytest.raises(ValueError, match="pool size 2000"):
+            single_pool_interval(s, i, 2000, 0.75, 0.5, 1.0, gen)

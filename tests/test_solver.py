@@ -14,6 +14,7 @@ from epidetect import (
     path_and_cost,
     solve,
 )
+from epidetect import solver
 from epidetect.solver import (
     DetectionMap,
     boundary_in_p,
@@ -36,14 +37,16 @@ class StubMap:
         return self._fn(x)
 
 
-def scripted_stepper(p_values):
-    """Deterministic dynamics: P walks through `p_values`, counts frozen."""
-    it = iter(p_values)
+@pytest.fixture
+def script_p(monkeypatch):
+    """Deterministic dynamics for `path_and_cost`: P walks through the given
+    values, counts frozen."""
+    def install(p_values):
+        it = iter(p_values)
+        monkeypatch.setattr(solver, "step",
+                            lambda x, *args, **kwargs: ReducedState(x.s1, x.i1, next(it)))
 
-    def stepper(x, rng):
-        return ReducedState(x.s1, x.i1, next(it))
-
-    return stepper
+    return install
 
 
 class TestPathAndCost:
@@ -57,12 +60,11 @@ class TestPathAndCost:
             assert tau == 1
             assert q >= 0.0
 
-    def test_t1_cost_formula(self, case_costs):
-        stepper = scripted_stepper([0.34])
+    def test_t1_cost_formula(self, case_costs, script_p):
+        script_p([0.34])
         x0 = ReducedState(1990, 10, 0.1)
         tau, q = path_and_cost(
             x0, 1, [], NO_NOISE, case_costs, ModelVariant.FULL3D, RngStream(1),
-            stepper=stepper,
         )
         assert tau == 1
         assert q == pytest.approx(1.0 * 0.1 + 20.0 * (1 - 0.34), rel=1e-12)
@@ -79,14 +81,14 @@ class TestPathAndCost:
             assert tau == t  # nothing announces until the cap
             assert q == pytest.approx(case_costs.c_delay * tau, rel=1e-12)
 
-    def test_deterministic_stub_oracle(self, case_costs):
+    def test_deterministic_stub_oracle(self, case_costs, script_p):
         # P path 0.1 -> 0.3 -> 0.5 -> ...; maps announce at P >= 0.5
-        stepper = scripted_stepper([0.3, 0.5, 0.8])
+        script_p([0.3, 0.5, 0.8])
         announce_at_half = StubMap(lambda x: x.p >= 0.5)
         x0 = ReducedState(1990, 10, 0.1)
         tau, q = path_and_cost(
             x0, 3, [announce_at_half, announce_at_half], NO_NOISE, case_costs,
-            ModelVariant.FULL3D, RngStream(2), stepper=stepper,
+            ModelVariant.FULL3D, RngStream(2),
         )
         assert tau == 2
         assert q == pytest.approx(1.0 * (0.1 + 0.3) + 20.0 * (1 - 0.5), rel=1e-12)
@@ -103,34 +105,34 @@ class TestPathAndCost:
             )
             assert 1 <= tau <= t
 
-    def test_mpc_mode_uses_latest_map_only(self, case_costs):
+    def test_mpc_mode_uses_latest_map_only(self, case_costs, script_p):
         # Latest map never announces; earlier maps always announce.
         # Receding-horizon mode must ignore the earlier maps and hit the cap.
         t = 7
         maps = [StubMap(lambda x: True)] * (t - 2) + [StubMap(lambda x: False)]
-        stepper = scripted_stepper([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        script_p([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
         x0 = ReducedState(1990, 10, 0.1)
         tau_mpc, _ = path_and_cost(
             x0, t, maps, NO_NOISE, case_costs, ModelVariant.FULL3D, RngStream(3),
-            stepper=stepper, mpc_switch=5,
+            mpc_switch=5,
         )
         assert tau_mpc == t
 
-        stepper = scripted_stepper([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        script_p([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
         tau_plain, _ = path_and_cost(
             x0, t, maps, NO_NOISE, case_costs, ModelVariant.FULL3D, RngStream(3),
-            stepper=stepper, mpc_switch=None,
+            mpc_switch=None,
         )
         assert tau_plain == 2  # s=1 tests the latest map, s=2 an always-announce map
 
-    def test_mpc_switch_boundary_is_strict(self, case_costs):
+    def test_mpc_switch_boundary_is_strict(self, case_costs, script_p):
         # at t == mpc_switch the stage-dependent rule still applies
         t = 5
         maps = [StubMap(lambda x: True)] * (t - 2) + [StubMap(lambda x: False)]
-        stepper = scripted_stepper([0.2] * t)
+        script_p([0.2] * t)
         tau, _ = path_and_cost(
             ReducedState(1990, 10, 0.1), t, maps, NO_NOISE, case_costs,
-            ModelVariant.FULL3D, RngStream(4), stepper=stepper, mpc_switch=5,
+            ModelVariant.FULL3D, RngStream(4), mpc_switch=5,
         )
         assert tau == 2
 
@@ -231,10 +233,8 @@ class TestBuildMap:
         rng = np.random.default_rng(1)
         for _ in range(20):
             loc = np.array([rng.uniform(0, 400), rng.uniform(0, 0.999)])
-            assert dmap.announce_location(loc) == (dmap.score_location(loc) > 0)
             st = ReducedState(1500, int(loc[0]), loc[1])
-            assert dmap.announce(st) == dmap.announce_location(
-                np.array([st.i1, st.p]))
+            assert dmap.announce(st) == (dmap.score_location(np.array([st.i1, st.p])) > 0)
 
 
 class TestSolve:

@@ -14,27 +14,33 @@ from epidetect import (
     ThresholdT,
     MapPolicy,
     build_map,
-    decide,
-    evaluate,
     evaluate_on,
     paired_compare,
+    pathwise_cost,
     simulate_paths,
-    sweep_threshold_t,
 )
+
+
+def stage_block(s1, i1, p):
+    """Stage-t states of a block of paths, as `evaluate_on` passes them."""
+    return (np.asarray(s1, dtype=np.int64), np.asarray(i1, dtype=np.int64),
+            np.asarray(p, dtype=float))
 
 
 class TestDecide:
     def test_threshold_p_boundary_inclusive(self):
-        pol = ThresholdP(0.8)
-        assert decide(pol, ReducedState(1990, 10, 0.81), 3)
-        assert decide(pol, ReducedState(1990, 10, 0.8), 3)
-        assert not decide(pol, ReducedState(1990, 10, 0.79), 3)
+        block = stage_block([1990] * 3, [10] * 3, [0.81, 0.8, 0.79])
+        out = ThresholdP(0.8).decide(*block, 3)
+        assert out.dtype == bool
+        assert out.tolist() == [True, True, False]
 
     def test_threshold_t_ignores_state(self):
         pol = ThresholdT(8)
-        assert decide(pol, ReducedState(0, 0, 0.0), 8)
-        assert decide(pol, ReducedState(0, 0, 0.0), 9)
-        assert not decide(pol, ReducedState(0, 0, 1.0), 7)
+        block = stage_block([0, 0], [0, 0], [0.0, 1.0])
+        assert pol.decide(*block, 8).tolist() == [True, True]
+        assert pol.decide(*block, 9).tolist() == [True, True]
+        assert pol.decide(*block, 7).tolist() == [False, False]
+        assert pol.decide(*block, 7).dtype == bool
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -83,9 +89,10 @@ def frozen(case_params, case_x0):
 
 class TestMapPolicy:
     def test_announces_at_certainty(self, lp_map):
-        pol = MapPolicy(lp_map)
-        for i1 in (0, 10, 50, 200, 400):
-            assert pol.decide(ReducedState(1500, i1, 1.0), 3)
+        i1 = [0, 10, 50, 200, 400]
+        out = MapPolicy(lp_map).decide(*stage_block([1500] * 5, i1, [1.0] * 5), 3)
+        assert out.dtype == bool
+        assert out.tolist() == [True] * 5
 
     @pytest.mark.parametrize("layout", ["lp2d", "full3d"])
     def test_extinct_line_follows_lookahead(self, layout, lp_map, full_map, case_costs):
@@ -101,7 +108,9 @@ class TestMapPolicy:
             assert not dmap.announce(ReducedState(1990, 0, p)), p
         for p in announce:
             assert dmap.announce(ReducedState(1990, 0, p)), p
-        locs = [dmap.location(ReducedState(1990, 0, p)) for p in wait + announce]
+        ps = np.array(wait + announce)
+        locs = dmap.location(np.full(ps.size, 1990), np.zeros(ps.size), ps)
+        assert np.array_equal(locs[0], dmap.location(1990, 0, ps[0]))
         expected = [False] * len(wait) + [True] * len(announce)
         assert (dmap.score_locations(locs) > 0).tolist() == expected
 
@@ -149,17 +158,8 @@ class TestEvaluate:
     def test_cap_hits_logged(self, frozen, case_costs):
         # a threshold nothing reaches: every path is force-announced at the cap
         report = evaluate_on(ThresholdP(0.999999), frozen, case_costs)
-        assert report.cap_hits == sum(
-            1 for path in frozen.paths if all(st.p < 0.999999 for st in path[1:])
-        )
+        assert report.cap_hits == int(np.sum(np.all(frozen.p[:, 1:] < 0.999999, axis=1)))
         assert np.all(report.taus <= frozen.horizon)
-
-    def test_evaluate_wrapper_freezes_paths(self, case_params, case_costs, case_x0):
-        a = evaluate(ThresholdT(4), case_x0, 50, case_params, case_costs,
-                     ModelVariant.FULL3D, RngStream(1).derive(0, 0), horizon=20)
-        b = evaluate(ThresholdT(4), case_x0, 50, case_params, case_costs,
-                     ModelVariant.FULL3D, RngStream(1).derive(0, 0), horizon=20)
-        assert np.array_equal(a.costs, b.costs)
 
     def test_paths_validation(self, case_params, case_x0):
         with pytest.raises(ValueError):
@@ -172,7 +172,78 @@ class TestEvaluate:
                                 RngStream(17).derive(0, 0), workers=1)
         forked = simulate_paths(case_x0, 80, 10, case_params, ModelVariant.FULL3D,
                                 RngStream(17).derive(0, 0), workers=2)
-        assert serial.paths == forked.paths
+        for name in ("s1", "i1", "p"):
+            assert np.array_equal(getattr(serial, name), getattr(forked, name)), name
+
+    def test_frozen_arrays(self, frozen, case_x0):
+        shape = (200, 41)
+        assert (frozen.s1.shape, frozen.i1.shape, frozen.p.shape) == (shape,) * 3
+        assert frozen.s1.dtype == frozen.i1.dtype == np.int64
+        assert frozen.p.dtype == np.float64
+        assert frozen.n_paths == 200
+        assert np.all(frozen.s1[:, 0] == case_x0.s1)
+        assert np.all(frozen.i1[:, 0] == case_x0.i1)
+        assert np.all(frozen.p[:, 0] == case_x0.p)
+
+    def test_policy_asked_once_per_stage_for_waiting_paths(self, frozen, case_costs):
+        calls = []
+
+        class Recording(ThresholdP):
+            def decide(self, s1, i1, p, t):
+                calls.append((t, p.size))
+                return super().decide(s1, i1, p, t)
+
+        report = evaluate_on(Recording(0.8), frozen, case_costs)
+        stages = [t for t, _ in calls]
+        assert stages == sorted(set(stages)) and stages[0] == 1
+        assert len(stages) <= frozen.horizon
+        # each path is asked at stages 1..tau and no further
+        assert sum(rows for _, rows in calls) == int(np.sum(report.taus))
+
+
+def _announces(policy, x: ReducedState, t: int) -> bool:
+    if isinstance(policy, MapPolicy):
+        return policy.dmap.announce(x)
+    if isinstance(policy, ThresholdP):
+        return x.p >= policy.p_bar
+    return t >= policy.t_bar
+
+
+def reference_evaluate(policy, paths, costs):
+    """Path-by-path evaluation with one `ReducedState` and one decision per stage."""
+    taus, path_costs, p_taus, cap_hits = [], [], [], 0
+    for n in range(paths.n_paths):
+        states = [ReducedState(int(s), int(i), float(p))
+                  for s, i, p in zip(paths.s1[n], paths.i1[n], paths.p[n])]
+        tau = next((t for t in range(1, paths.horizon + 1)
+                    if _announces(policy, states[t], t)), None)
+        if tau is None:
+            tau = paths.horizon
+            cap_hits += 1
+        taus.append(tau)
+        path_costs.append(pathwise_cost([st.p for st in states[: tau + 1]], tau, costs))
+        p_taus.append(states[tau].p)
+    return np.array(taus, dtype=float), np.array(path_costs), np.array(p_taus), cap_hits
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("kind", ["lp_map", "full_map", "threshold_p", "threshold_t",
+                                      "threshold_p_unreached"])
+    def test_bit_identical(self, kind, lp_map, full_map, frozen, case_costs):
+        policy = {
+            "lp_map": lambda: MapPolicy(lp_map),
+            "full_map": lambda: MapPolicy(full_map),
+            "threshold_p": lambda: ThresholdP(0.8),
+            "threshold_t": lambda: ThresholdT(8),
+            "threshold_p_unreached": lambda: ThresholdP(0.999999),
+        }[kind]()
+        report = evaluate_on(policy, frozen, case_costs)
+        taus, path_costs, p_taus, cap_hits = reference_evaluate(policy, frozen, case_costs)
+        assert np.array_equal(report.taus, taus)
+        assert np.array_equal(report.costs, path_costs)
+        assert np.array_equal(report.p_taus, p_taus)
+        assert report.cap_hits == cap_hits
+        assert report.mean_cost == float(np.mean(path_costs))
 
 
 class TestPairedCompare:
@@ -201,10 +272,3 @@ class TestPairedCompare:
         assert 0.0 <= cmp.frac_a_better + cmp.frac_b_better <= 1.0
         assert cmp.mean_diff == pytest.approx(a.mean_cost - b.mean_cost, rel=1e-10)
 
-
-class TestSweep:
-    def test_sweep_matches_individual_evaluations(self, frozen, case_costs):
-        out = sweep_threshold_t(frozen, case_costs, [4, 8, 12])
-        for t_bar, mean_cost in out:
-            report = evaluate_on(ThresholdT(t_bar), frozen, case_costs)
-            assert mean_cost == pytest.approx(report.mean_cost, rel=1e-12)
