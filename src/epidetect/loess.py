@@ -14,7 +14,27 @@ distance. Each prediction exposes
   * the predictive standard error sqrt(sigma2(x)) * ||l(x)||.
 
 The model is the data: fitting stores inputs, responses and per-coordinate
-scales, nothing else.
+scales, plus the per-point moment features below, nothing else.
+
+Every query runs through one block kernel, `LoessModel._fit_block`, which
+fits a block of queries with array operations (a point query is a block
+of one row):
+
+  * the standardized inputs u_i are centered at their column mean c0, and
+    point i carries the upper triangle of v_i v_i' with v_i = [z_i, y_i]
+    and basis row z_i = b(u_i - c0) (constant term last);
+  * per block, one `cdist` pass, a row-wise partition for the k-th
+    distance and the tricube weights; non-members get weight 0;
+  * the weighted moments [Z y]' W [Z y] come from one (1 x N)(N x m)
+    product per row and move to the query-centered basis by T(c), with
+    b(u - c) = T(c) b(u) and c = x / scale - c0;
+  * a stacked Cholesky factorization of that bordered system is the
+    singularity test and the solver: its last row carries the forward
+    substitution of B'Wy, from which the fitted mean follows. Rows whose
+    local system is singular fall back to the weighted mean.
+
+Rows never mix: every product and reduction runs per row, so a query gets
+the same bits in any block, alone or among others.
 """
 from __future__ import annotations
 
@@ -23,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
+
+_BLOCK_ENTRIES = 1 << 14  # distance entries per block (128 KiB): larger blocks ran slower
 
 
 @dataclass(frozen=True)
@@ -61,16 +82,49 @@ def basis_size(dim: int, degree: int) -> int:
 
 
 def _basis(x_centered: np.ndarray, degree: int) -> np.ndarray:
-    """Polynomial design matrix of centered rows; first column is 1."""
+    """Polynomial design matrix of centered rows; the last column is 1."""
     n, d = x_centered.shape
-    cols = [np.ones(n)]
+    cols = []
     if degree >= 1:
         cols.extend(x_centered[:, j] for j in range(d))
     if degree == 2:
         for j in range(d):
             for l in range(j, d):
                 cols.append(x_centered[:, j] * x_centered[:, l])
+    cols.append(np.ones(n))
     return np.column_stack(cols)
+
+
+def _shift(c: np.ndarray, degree: int) -> np.ndarray:
+    """One matrix T per row of `c` with T [b(u); y] = [b(u - c); y] for all u, y."""
+    m, d = c.shape
+    r = basis_size(d, degree)
+    T = np.zeros((m, r + 1, r + 1))
+    T.reshape(m, (r + 1) ** 2)[:, ::r + 2] = 1.0
+    if degree >= 1:
+        T[:, :d, r - 1] = -c
+    if degree == 2:
+        q = d
+        for j in range(d):
+            for l in range(j, d):
+                # (u_j - c_j)(u_l - c_l) = u_j u_l - c_l u_j - c_j u_l + c_j c_l
+                T[:, q, j] -= c[:, l]
+                T[:, q, l] -= c[:, j]
+                T[:, q, r - 1] = c[:, j] * c[:, l]
+                q += 1
+    return T
+
+
+def _backward(lt: np.ndarray, x: np.ndarray) -> None:
+    """x <- L'^{-1} x in place; `lt` is L as (r, r, rows), `x` is (r, cols, rows).
+
+    Each step is one elementwise operation over the rows, so rows never mix.
+    """
+    r = lt.shape[0]
+    for i in reversed(range(r)):
+        for j in range(i + 1, r):
+            x[i] -= lt[j, i] * x[j]
+        x[i] /= lt[i, i]
 
 
 @dataclass(frozen=True)
@@ -121,6 +175,18 @@ class LoessModel:
         self._r = r
         self._k = min(n, max(math.ceil(config.span * n), min_nb))  # neighborhood size
 
+        # Moment features in a basis centered at the data's mean: column by
+        # column, a weighted sum of the rows of `_features` gives the upper
+        # triangle of [Z y]' W [Z y], so Z'WZ, Z'Wy and y'Wy.
+        self._center = self._scaled.mean(axis=0)
+        self._z = _basis(self._scaled - self._center, config.degree)
+        zy = np.column_stack([self._z, responses])
+        upper = np.triu_indices(r + 1)
+        self._features = zy[:, upper[0]] * zy[:, upper[1]]
+        position = np.empty((r + 1, r + 1), dtype=int)  # (p, q) -> feature column
+        position[upper] = position[upper[::-1]] = np.arange(upper[0].size)
+        self._symmetric = position.ravel()
+
     @property
     def n_points(self) -> int:
         return self.inputs.shape[0]
@@ -129,106 +195,132 @@ class LoessModel:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def _fit_at(self, x: np.ndarray, dist2: np.ndarray, with_se: bool, with_kernel: bool):
-        """The local fit at `x` from its squared scaled distances `dist2`.
+    def _moments(self, w: np.ndarray) -> np.ndarray:
+        """[Z y]' W [Z y] per row of weights `w`, from one (1 x N)(N x m) product each."""
+        r1 = self._r + 1
+        return (w[:, None, :] @ self._features)[:, 0, self._symmetric].reshape(-1, r1, r1)
 
-        Returns the fitted mean alone when `with_se` is false, else a
-        `LoessPrediction` (carrying the length-N kernel row if asked for).
+    def _fit_block(self, q: np.ndarray, with_se: bool, with_kernel: bool):
+        """Local fits at the standardized queries `q` (rows of one block).
+
+        Returns the fitted means alone when `with_se` is false, else the
+        tuple (mean, stderr, kernel_norm, sigma2, degenerate), with the
+        (rows x N) equivalent-kernel rows appended when `with_kernel` is set.
         """
-        n, k = self.n_points, self._k
-        d2max = dist2.max() if k == n else np.partition(dist2, k - 1)[k - 1]
-        members = np.flatnonzero(dist2 <= d2max)  # boundary ties all included
-        k_size = members.size
+        b = q.shape[0]
+        n, k, r = self.n_points, self._k, self._r
+        d2 = cdist(q, self._scaled, "sqeuclidean")
+        d2max = d2.max(axis=1) if k == n else np.partition(d2, k - 1, axis=1)[:, k - 1]
 
-        if self.config.kernel == "uniform" or d2max == 0.0:
-            w = np.ones(k_size)
-        else:
-            rel = np.sqrt(dist2[members] / d2max)
-            w = (1.0 - rel**3) ** 3
-            np.maximum(w, 0.0, out=w)
-        sw = w.sum()
-        if sw <= 0.0:  # all mass on the boundary: fall back to uniform
-            w = np.ones(k_size)
-            sw = float(k_size)
+        # tricube weights by products, clipped at 0 outside the neighborhood
+        w = d2 * (1.0 / np.where(d2max > 0.0, d2max, 1.0))[:, None]
+        cube = np.sqrt(w)
+        np.multiply(cube, w, out=cube)
+        np.subtract(1.0, cube, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.multiply(w, w, out=cube)
+        np.multiply(w, cube, out=w)
+        mz = self._moments(w)
+        # uniform kernel, every neighbor at the query, or all mass on the
+        # neighborhood boundary: equal weights on the members (ties included)
+        flat = (d2max == 0.0) | (mz[:, r - 1, r - 1] <= 0.0) | (self.config.kernel == "uniform")
+        if flat.any():
+            w[flat] = d2[flat] <= d2max[flat, None]
+            mz[flat] = self._moments(w[flat])
+        sw = mz[:, r - 1, r - 1]
 
-        # Covariates centered at the query and standardized, so the fitted
-        # value at x is coef[0] and the normal equations stay well scaled.
-        xb = (self.inputs[members] - x) / self.normalization
-        y = self.responses[members]
-        B = _basis(xb, self.config.degree)
-        bw = B * w[:, None]
+        # moments in the query-centered basis, whose constant term comes last:
+        # the fitted value at x is the last coefficient
+        T = _shift(q - self._center, self.config.degree)
+        gram = T @ mz @ T.transpose(0, 2, 1)
+        # Bordered system [[M, B'Wy], [y'WB, s]]: the last row of its Cholesky
+        # factor is [u', sqrt(s - u'u)] with u = L^{-1} B'Wy, so the fitted
+        # value is u_r / L_rr. s = 2 y'Wy + 1 > u'u keeps that pivot positive.
+        gram[:, r, r] += gram[:, r, r] + 1.0
+        singular = np.zeros(b, dtype=bool)
         try:
             # the Cholesky factorization doubles as the singularity test
-            fac = cho_factor(B.T @ bw, lower=True, check_finite=False)
-        except LinAlgError:
-            fac = None
-        if fac is None:  # singular local system: weighted mean
-            l_local = w / sw
-            mean = float(l_local @ y)
-            resid = y - mean
-            r_eff = 1
-        else:
-            # a = M^{-1} e1 gives the equivalent-kernel row l = w * (B a)
-            rhs = np.zeros((self._r, 2))
-            rhs[:, 0] = bw.T @ y
-            rhs[0, 1] = 1.0
-            sol = cho_solve(fac, rhs, check_finite=False)
-            mean = float(sol[0, 0])
-            if not with_se:
-                return mean
-            l_local = w * (B @ sol[:, 1])
-            resid = y - B @ sol[:, 0]
-            r_eff = self._r
+            fac = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            fac = np.empty_like(gram)
+            for j in range(b):
+                try:
+                    fac[j] = np.linalg.cholesky(gram[j])
+                except np.linalg.LinAlgError:
+                    singular[j] = True
+                    fac[j] = np.eye(r + 1)
+        pivot = fac[:, r - 1, r - 1]
+        mean = fac[:, r, r - 1] / pivot
+        if singular.any():
+            mean[singular] = mz[singular, r - 1, r] / sw[singular]  # weighted mean
         if not with_se:
             return mean
 
-        dof = 1.0 - r_eff / k_size
-        sigma2 = max(float(w @ (resid * resid) / (sw * dof)), 0.0) if dof > 0 else 0.0
-        knorm = float(np.sqrt(l_local @ l_local))
-        stderr = math.sqrt(sigma2) * knorm
+        # beta = M^{-1} B'Wy = L'^{-1} u and a = M^{-1} e_r = L'^{-1} e_r / L_rr;
+        # the equivalent-kernel row is l = w * (B a)
+        lt = fac[:, :r, :r].transpose(1, 2, 0).copy()  # rows last
+        x = np.zeros((r, 2, b))
+        x[:, 0] = fac[:, r, :r].T
+        x[-1, 1] = 1.0 / pivot
+        _backward(lt, x)
+        coef = T[:, :r, :r].transpose(0, 2, 1) @ x.transpose(2, 0, 1)  # centered basis
+        # the weighted mean is the constant fit with a = e_r / sum(w)
+        coef[singular] = 0.0
+        coef[singular, r - 1, 0] = mean[singular]
+        coef[singular, r - 1, 1] = 1.0 / sw[singular]
+        resid = self.responses - (self._z @ coef[:, :, :1])[:, :, 0]
+        kern = (self._z @ coef[:, :, 1:])[:, :, 0]
+        np.multiply(kern, w, out=kern)
+        w_resid = np.multiply(w, resid, out=w)
 
-        kern = None
-        if with_kernel:
-            kern = np.zeros(n)
-            kern[members] = l_local
-        return LoessPrediction(mean, stderr, knorm, sigma2, fac is None, kern)
+        k_size = (d2 <= d2max[:, None]).sum(axis=1)  # boundary ties all included
+        dof = 1.0 - np.where(singular, 1, r) / k_size
+        sigma2 = np.zeros(b)
+        pos = dof > 0
+        ssr = (w_resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        sigma2[pos] = np.maximum(ssr[pos] / (sw[pos] * dof[pos]), 0.0)
+        knorm = np.sqrt((kern[:, None, :] @ kern[:, :, None])[:, 0, 0])
+        out = (mean, np.sqrt(sigma2) * knorm, knorm, sigma2, singular)
+        return out + (kern,) if with_kernel else out
 
-    def _query(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False):
-        """Yield the local fit at each row of the 2-D array `xs`; one distance pass."""
+    def _fit(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False):
+        """`_fit_block` over the rows of the 2-D array `xs`, block by block."""
         if xs.shape[1] != self.dim:
             raise ValueError(f"queries have dimension {xs.shape[1]}, model expects {self.dim}")
-        if not np.all(np.isfinite(xs)):
+        if not np.isfinite(xs).all():
             raise ValueError("queries contain non-finite values")
-        dist2 = cdist(xs / self.normalization, self._scaled, "sqeuclidean")
-        for x, d2 in zip(xs, dist2):
-            yield self._fit_at(x, d2, with_se, with_kernel)
+        q = xs / self.normalization
+        rows = max(1, _BLOCK_ENTRIES // self.n_points)
+        if q.shape[0] <= rows:
+            return self._fit_block(q, with_se, with_kernel)
+        blocks = [self._fit_block(q[i:i + rows], with_se, with_kernel)
+                  for i in range(0, q.shape[0], rows)]
+        if not with_se:
+            return np.concatenate(blocks)
+        return tuple(np.concatenate(part) for part in zip(*blocks))
 
     def predict_mean(self, x) -> float:
         """Fitted mean at `x` without standard errors (fast path)."""
-        return next(self._query(np.asarray(x, dtype=float).reshape(1, -1), with_se=False))
+        return float(self._fit(np.asarray(x, dtype=float).reshape(1, -1), with_se=False)[0])
 
     def predict_mean_many(self, xs) -> np.ndarray:
         """Fitted means at each row of `xs` (fast path)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.fromiter(self._query(xs, with_se=False), float, count=xs.shape[0])
+        return self._fit(np.atleast_2d(np.asarray(xs, dtype=float)), with_se=False)
 
     def predict(self, x, with_kernel: bool = False) -> LoessPrediction:
         """Local fit at the query point `x` (length-d array-like)."""
         x = np.asarray(x, dtype=float).reshape(1, -1)
-        return next(self._query(x, with_se=True, with_kernel=with_kernel))
+        mean, stderr, knorm, sigma2, degenerate, *kern = self._fit(x, True, with_kernel)
+        return LoessPrediction(float(mean[0]), float(stderr[0]), float(knorm[0]),
+                               float(sigma2[0]), bool(degenerate[0]),
+                               kern[0][0] if kern else None)
 
     def predict_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Means and standard errors at each row of `xs`."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        means = np.empty(xs.shape[0])
-        stderrs = np.empty(xs.shape[0])
-        for j, pred in enumerate(self._query(xs, with_se=True)):
-            means[j] = pred.mean
-            stderrs[j] = pred.stderr
-        return means, stderrs
+        mean, stderr, *_ = self._fit(np.atleast_2d(np.asarray(xs, dtype=float)), with_se=True)
+        return mean, stderr
 
 
 def fit(inputs, responses, config: LoessConfig = LoessConfig()) -> LoessModel:
     """Fit a loess model; the data plus per-coordinate scales are the model."""
     return LoessModel(inputs, responses, config)
-

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
 
 from .rng import RngStream
 from .sir import EpidemicParams, single_pool_interval
-
-NoiseSampler = Callable[[object], float]
-"""Draws one pseudo-posterior noise increment from a numpy Generator."""
 
 
 class ModelVariant(str, Enum):
@@ -73,15 +69,14 @@ def step(
     params: EpidemicParams,
     variant: ModelVariant,
     rng: RngStream,
-    noise: Optional[NoiseSampler] = None,
 ) -> ReducedState:
     """Advance the detection state by one stage (one time unit).
 
     Pool-1 counts move first (SIR kernel or branching, by variant), then P
     is updated with the drift evaluated at the incoming state:
-    P' = clamp(P + alpha*beta*I1*(1-P) + delta, 0, 1), delta drawn from
-    `noise` (default: centered Gaussian with params.sigma_delta). P = 1 is
-    absorbing and consumes no noise draw.
+    P' = clamp(P + alpha*beta*I1*(1-P) + delta, 0, 1), with delta drawn
+    from the centered Gaussian of standard deviation params.sigma_delta.
+    P = 1 is absorbing and consumes no noise draw.
     """
     gen = rng.generator
     if variant is ModelVariant.FULL3D:
@@ -97,11 +92,7 @@ def step(
     if x.p == 1.0:
         p_next = 1.0
     else:
-        if noise is None:
-            delta = gen.normal(0.0, params.sigma_delta)
-        else:
-            delta = noise(gen)
-        p_next = x.p + drift(x, params) + delta
+        p_next = x.p + drift(x, params) + gen.normal(0.0, params.sigma_delta)
         if p_next <= 0.0:
             p_next = 0.0
         elif p_next >= 1.0:

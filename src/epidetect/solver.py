@@ -41,7 +41,7 @@ from .design import (
 )
 from .loess import LoessConfig, LoessModel
 from .loess import fit as loess_fit
-from .reduced import ModelVariant, NoiseSampler, ReducedState, step
+from .reduced import ModelVariant, ReducedState, step
 from .rng import RngStream
 from .sir import EpidemicParams
 
@@ -211,10 +211,13 @@ class DetectionMap:
         return self.surrogate.predict_mean(loc) - immediate_cost(float(loc[-1]), self.costs)
 
     def score_locations(self, locs) -> np.ndarray:
+        """`score_location` for each row of `locs`; only off-line rows reach the surrogate."""
         locs = np.asarray(locs, dtype=float)
-        scores = self.surrogate.predict_mean_many(locs) - immediate_cost(locs[:, -1], self.costs)
         line = on_extinct_line(locs)
+        off = locs[~line]
+        scores = np.empty(locs.shape[0])
         scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
+        scores[~line] = self.surrogate.predict_mean_many(off) - immediate_cost(off[:, -1], self.costs)
         return scores
 
     def announce(self, x: ReducedState) -> bool:
@@ -301,7 +304,6 @@ def path_and_cost(
     rng: RngStream,
     *,
     mpc_switch: Optional[int] = None,
-    noise: Optional[NoiseSampler] = None,
 ) -> tuple[int, float]:
     """Simulate one scenario from `x0` under the iteration-t stopping rule.
 
@@ -320,7 +322,7 @@ def path_and_cost(
     p_path = [x0.p]
     x = x0
     for s in range(1, t + 1):
-        x = step(x, params, variant, rng, noise=noise)
+        x = step(x, params, variant, rng)
         p_path.append(x.p)
         if s == t:
             break  # map 0 announces everywhere
@@ -340,7 +342,6 @@ def build_map(
     *,
     box: Optional[StateBox] = None,
     workers: int = 1,
-    noise: Optional[NoiseSampler] = None,
 ) -> DetectionMap:
     """One sequential-design iteration: simulate, fit, augment toward the boundary.
 
@@ -365,7 +366,7 @@ def build_map(
             x0 = state_from_location(locs[j], variant, params)
             _tau, q = path_and_cost(
                 x0, t, maps, params, costs, variant, stream,
-                mpc_switch=config.mpc_switch, noise=noise,
+                mpc_switch=config.mpc_switch,
             )
             return q
 
@@ -382,9 +383,11 @@ def build_map(
         cands = draw_design(
             box, config.d_candidates, root.derive(t, LABEL_DESIGN, rnd), params, variant
         )
-        mu, se = model.predict_many(cands)
-        pb = boundary_probability(mu, se, immediate_cost(cands[:, -1], costs))
-        pb[on_extinct_line(cands)] = 0.0  # extinct_margin decides these exactly
+        # extinct_margin decides the extinct line exactly: no sign error there
+        off = ~on_extinct_line(cands)
+        mu, se = model.predict_many(cands[off])
+        pb = np.zeros(cands.shape[0])
+        pb[off] = boundary_probability(mu, se, immediate_cost(cands[off, -1], costs))
         weights = acquisition_weight(pb, config.acquisition)
         idx, fallback = sample_indices(
             weights, config.n_batch, root.derive(t, LABEL_BATCH, rnd)
@@ -426,6 +429,43 @@ def audit_grid(box: StateBox, variant: ModelVariant) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
+def boundary_lines(
+    dmap: DetectionMap,
+    prefixes: np.ndarray,
+    p_lo: float = 0.0,
+    p_hi: float = 0.999,
+    resolution: float = 1e-3,
+) -> np.ndarray:
+    """Announce-boundary crossing in P along each of several lattice lines.
+
+    Row j of `prefixes` fixes the leading coordinates (S1, I1 or just I1) of
+    line j. Bisects the sign of qhat - d on every line at once, scoring the
+    midpoints of all lines still open with one `score_locations` call per
+    step. A line gets `p_lo` when announcing holds on the whole line and NaN
+    when waiting holds everywhere below `p_hi`.
+    """
+    prefixes = np.asarray(prefixes, dtype=float)
+    n = prefixes.shape[0]
+
+    def announces(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return dmap.score_locations(np.column_stack([prefixes[rows], p])) > 0
+
+    out = np.full(n, math.nan)
+    lo, hi = np.full(n, float(p_lo)), np.full(n, float(p_hi))
+    at_lo = announces(np.arange(n), lo)
+    out[at_lo] = p_lo
+    rows = np.flatnonzero(~at_lo)
+    rows = rows[announces(rows, hi[rows])]  # the others wait everywhere: NaN
+    done = rows
+    while (rows := rows[hi[rows] - lo[rows] > resolution]).size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        up = announces(rows, mid)
+        hi[rows[up]] = mid[up]
+        lo[rows[~up]] = mid[~up]
+    out[done] = 0.5 * (lo[done] + hi[done])
+    return out
+
+
 def boundary_in_p(
     dmap: DetectionMap,
     prefix: Sequence[float],
@@ -433,29 +473,8 @@ def boundary_in_p(
     p_hi: float = 0.999,
     resolution: float = 1e-3,
 ) -> float:
-    """Announce-boundary crossing in P along one fixed lattice line.
-
-    `prefix` fixes the leading coordinates (S1, I1 or just I1). Bisects the
-    sign of qhat - d. Returns `p_lo` when announcing holds on the whole
-    line and NaN when waiting holds everywhere below `p_hi`.
-    """
-    prefix = list(prefix)
-
-    def score(p: float) -> float:
-        return dmap.score_location(np.array(prefix + [p]))
-
-    lo, hi = p_lo, p_hi
-    if score(lo) > 0:
-        return lo
-    if score(hi) <= 0:
-        return math.nan
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if score(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """`boundary_lines` for the single lattice line fixed by `prefix`."""
+    return float(boundary_lines(dmap, [list(prefix)], p_lo, p_hi, resolution)[0])
 
 
 def boundary_trace(
@@ -464,11 +483,10 @@ def boundary_trace(
     s_value: Optional[float] = None,
 ) -> np.ndarray:
     """Boundary crossing in P per I1 lattice value (fixed S1 slice in 3-D)."""
-    out = np.empty(len(i_values))
-    for j, i1 in enumerate(i_values):
-        prefix = [i1] if s_value is None else [s_value, i1]
-        out[j] = boundary_in_p(dmap, prefix, dmap.domain.lower[-1], dmap.domain.upper[-1])
-    return out
+    i_values = np.asarray(i_values, dtype=float)
+    lead = [] if s_value is None else [np.full(i_values.shape, float(s_value))]
+    prefixes = np.column_stack(lead + [i_values])
+    return boundary_lines(dmap, prefixes, dmap.domain.lower[-1], dmap.domain.upper[-1])
 
 
 def trace_distance(trace_a: np.ndarray, trace_b: np.ndarray) -> float:
@@ -514,7 +532,6 @@ def solve(
     *,
     box: Optional[StateBox] = None,
     workers: int = 1,
-    noise: Optional[NoiseSampler] = None,
     progress=None,
 ) -> MapSequence:
     """Iterate map building until the surrogate stabilizes or t_max is hit.
@@ -547,7 +564,7 @@ def solve(
     for t in range(1, config.t_max + 1):
         dmap = build_map(
             t, maps, config, params, costs, variant,
-            box=box, workers=workers, noise=noise,
+            box=box, workers=workers,
         )
         maps.append(dmap)
         q_grid = dmap.surrogate.predict_mean_many(grid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .costs import CostParams, pathwise_cost
-from .reduced import ModelVariant, NoiseSampler, ReducedState, step
+from .reduced import ModelVariant, ReducedState, step
 from .rng import RngStream
 from .sir import EpidemicParams
 from .solver import DetectionMap
@@ -134,7 +134,6 @@ def simulate_paths(
     variant: ModelVariant,
     rng: RngStream,
     *,
-    noise: Optional[NoiseSampler] = None,
     workers: int = 1,
 ) -> FrozenPaths:
     """Simulate `n_paths` trajectories of `horizon` stages from `x0`.
@@ -153,7 +152,7 @@ def simulate_paths(
         x = x0
         s1, i1, p = [x.s1], [x.i1], [x.p]
         for _ in range(horizon):
-            x = step(x, params, variant, stream, noise=noise)
+            x = step(x, params, variant, stream)
             s1.append(x.s1)
             i1.append(x.i1)
             p.append(x.p)

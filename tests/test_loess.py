@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epidetect import LoessConfig, fit
+from epidetect import LoessConfig, fit, loess
 from epidetect.loess import basis_size
 
 
@@ -222,3 +222,104 @@ class TestPredictionProperties:
             pred = model.predict(Q[j])
             assert means[j] == pred.mean == batch_means[j] == model.predict_mean(Q[j])
             assert stderrs[j] == pred.stderr
+
+
+class TestBlockKernel:
+    """All four query methods run one block kernel, whose rows never mix."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_row_by_row(self, degree, d, monkeypatch):
+        rng = np.random.default_rng(100 + 3 * degree + d)
+        X = rng.uniform(0, 1, size=(80, d))
+        y = rng.normal(size=80) + X.sum(axis=1)
+        model = fit(X, y, LoessConfig(span=0.5, degree=degree))
+        Q = rng.uniform(-0.2, 1.2, size=(300, d))
+        preds = [model.predict(q) for q in Q]
+        means = np.array([p.mean for p in preds])
+        stderrs = np.array([p.stderr for p in preds])
+        np.testing.assert_array_equal(means, [model.predict_mean(q) for q in Q])
+        # one row per block, 7 rows per block (the last one partial), the default
+        for entries in (80, 7 * 80, loess._BLOCK_ENTRIES):
+            monkeypatch.setattr(loess, "_BLOCK_ENTRIES", entries)
+            batch_means, batch_stderrs = model.predict_many(Q)
+            np.testing.assert_array_equal(batch_means, means)
+            np.testing.assert_array_equal(batch_stderrs, stderrs)
+            np.testing.assert_array_equal(model.predict_mean_many(Q), means)
+
+    def test_singular_row_among_regular_rows(self):
+        # Pool A lies on x2 = 0, the exact mean of x2 (whose scale is exactly
+        # 1), so its local systems are singular; pool B spreads in x2.
+        x2_b = np.tile([2.0, -2.0, 0.0, 0.0], 5)
+        X = np.vstack([
+            np.column_stack([np.arange(21.0), np.zeros(21)]),
+            np.column_stack([100.0 + np.arange(20.0), x2_b]),
+        ])
+        y = np.random.default_rng(14).normal(size=41)
+        model = fit(X, y, LoessConfig(span=0.25))
+        Q = np.array([[110.3, -1.0], [10.0, 0.0], [104.2, 1.0], [6.5, 0.0], [113.0, -1.0]])
+        means, stderrs = model.predict_many(Q)
+        preds = [model.predict(q, with_kernel=True) for q in Q]
+        assert [p.degenerate for p in preds] == [False, True, False, True, False]
+        for j, pred in enumerate(preds):
+            assert means[j] == pred.mean == model.predict_mean(Q[j])
+            assert stderrs[j] == pred.stderr
+            if pred.degenerate:  # weighted mean of the neighborhood
+                assert pred.mean == pytest.approx(pred.kernel @ y, abs=1e-12)
+                assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.all(pred.kernel[21:] == 0.0)
+        np.testing.assert_array_equal(model.predict_mean_many(Q), means)
+
+    @pytest.mark.parametrize("kernel", ["tricube", "uniform"])
+    def test_uniform_kernel_and_coincident_neighbors(self, kernel):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0, 1, size=(18, 2))
+        X = np.vstack([X, np.repeat(X[:1], 12, axis=0)])  # 13 copies of X[0]
+        y = rng.normal(size=30)
+        model = fit(X, y, LoessConfig(span=0.3, kernel=kernel))
+        Q = np.vstack([X[0], rng.uniform(0, 1, size=(20, 2)), X[0]])
+        means, stderrs = model.predict_many(Q)
+        for j, q in enumerate(Q):
+            pred = model.predict(q)
+            assert means[j] == pred.mean == model.predict_mean(q)
+            assert stderrs[j] == pred.stderr
+        # the 9 nearest neighbors all coincide with the query: equal weights
+        # on every copy, ties included
+        copies = np.all(X == X[0], axis=1)
+        pred = model.predict(X[0], with_kernel=True)
+        assert pred.mean == pytest.approx(y[copies].mean(), abs=1e-12)
+        np.testing.assert_allclose(pred.kernel[copies], 1.0 / 13, atol=1e-12)
+        assert np.all(pred.kernel[~copies] == 0.0)
+        if kernel == "uniform":  # against the oracle, away from the copies
+            distinct = fit(X[:18], y[:18], LoessConfig(span=0.3, kernel=kernel))
+            for q in Q[1:-1]:
+                mean_o, l_o = dense_wls_oracle(X[:18], y[:18], q, 0.3, 1, uniform=True)
+                pred = distinct.predict(q, with_kernel=True)
+                assert pred.mean == pytest.approx(mean_o, abs=1e-8)
+                np.testing.assert_allclose(pred.kernel, l_o, atol=1e-8)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_constant_responses_batch_zero_stderr(self, degree):
+        rng = np.random.default_rng(16)
+        X = rng.uniform(0, 1, size=(300, 3))
+        model = fit(X, np.full(300, 3.25), LoessConfig(span=0.3, degree=degree))
+        means, stderrs = model.predict_many(rng.uniform(0, 1, size=(300, 3)))
+        np.testing.assert_allclose(means, 3.25, rtol=0, atol=1e-10)
+        assert np.all(stderrs <= 1e-10)
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_far_queries_match_dense_wls(self, degree, d):
+        rng = np.random.default_rng(17 + d)
+        X = rng.uniform(0, 5, size=(60, d))
+        y = rng.normal(size=60) + X.sum(axis=1)
+        model = fit(X, y, LoessConfig(span=0.5, degree=degree))
+        # 50 standard deviations from the data's center, in random diagonal directions
+        Q = X.mean(axis=0) + 50 * X.std(axis=0, ddof=1) * rng.choice([-1.0, 1.0], size=(6, d))
+        batch_means, _ = model.predict_many(Q)
+        for q, batch_mean in zip(Q, batch_means):
+            pred = model.predict(q, with_kernel=True)
+            mean_o, l_o = dense_wls_oracle(X, y, q, 0.5, degree)
+            assert pred.mean == batch_mean
+            assert pred.mean == pytest.approx(mean_o, rel=1e-8)
+            np.testing.assert_allclose(pred.kernel, l_o, rtol=0, atol=1e-8 * np.abs(l_o).max())

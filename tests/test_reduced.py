@@ -13,6 +13,25 @@ from epidetect import (
 )
 
 
+class FixedNoiseStream:
+    """A stream whose generator draws Pool-1 events as usual but returns a
+    fixed increment from `normal`, for exact P updates."""
+
+    def __init__(self, seed: int, increment: float):
+        self._gen = RngStream(seed).generator
+        self._increment = increment
+
+    @property
+    def generator(self):
+        return self
+
+    def normal(self, loc, scale):
+        return self._increment
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
 class TestDrift:
     def test_hand_value(self, case_params):
         x = ReducedState(1990, 10, 0.1)
@@ -87,14 +106,13 @@ class TestStep:
 
     def test_pluggable_noise(self, case_params):
         x = ReducedState(1990, 10, 0.5)
-        out = step(x, case_params, ModelVariant.FULL3D, RngStream(2),
-                   noise=lambda gen: 0.25)
+        out = step(x, case_params, ModelVariant.FULL3D, FixedNoiseStream(2, 0.25))
         assert out.p == pytest.approx(0.5 + drift(x, case_params) + 0.25, rel=1e-14)
 
     def test_clamp_to_unit_interval(self, case_params):
         x = ReducedState(1990, 10, 0.5)
-        hi = step(x, case_params, ModelVariant.LP2D, RngStream(2), noise=lambda g: 5.0)
-        lo = step(x, case_params, ModelVariant.LP2D, RngStream(2), noise=lambda g: -5.0)
+        hi = step(x, case_params, ModelVariant.LP2D, FixedNoiseStream(2, 5.0))
+        lo = step(x, case_params, ModelVariant.LP2D, FixedNoiseStream(2, -5.0))
         assert hi.p == 1.0
         assert lo.p == 0.0
 

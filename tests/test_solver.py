@@ -15,9 +15,12 @@ from epidetect import (
     solve,
 )
 from epidetect import solver
+from epidetect.loess import LoessModel
 from epidetect.solver import (
     DetectionMap,
+    audit_grid,
     boundary_in_p,
+    boundary_trace,
     default_box,
     draw_design,
     state_from_location,
@@ -175,6 +178,14 @@ def small_lp_map(case_params, case_costs):
     return build_map(1, [], cfg, case_params, case_costs, ModelVariant.LP2D), cfg
 
 
+@pytest.fixture(scope="module")
+def small_full_map(case_params, case_costs):
+    cfg = SrmcConfig(
+        master_seed=405, n0=80, n_batch=40, n_end=160, d_candidates=200, t_max=1
+    )
+    return build_map(1, [], cfg, case_params, case_costs, ModelVariant.FULL3D)
+
+
 class TestBuildMap:
     def test_non_sequential_config_runs(self, case_params, case_costs):
         cfg = SrmcConfig(master_seed=11, n0=100, n_batch=50, n_end=100,
@@ -297,3 +308,103 @@ class TestSolve:
         assert means[-1] < means[0]  # overall improvement
         for prev, cur in zip(means, means[1:]):
             assert cur <= prev + 0.35, means  # no real regression, MC slack
+
+
+def line_by_line_boundary(dmap, prefix, p_lo, p_hi, resolution=1e-3):
+    """Scalar bisection along one line, one point query per step."""
+    def score(p):
+        return dmap.score_location(np.array(list(prefix) + [p]))
+
+    lo, hi = p_lo, p_hi
+    if score(lo) > 0:
+        return lo
+    if score(hi) <= 0:
+        return math.nan
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if score(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class CrossingMap:
+    """Announces where P exceeds a per-line crossing I1 / 100 - 0.5."""
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def score_location(self, loc):
+        return float(self.score_locations(np.asarray(loc)[None])[0])
+
+    def score_locations(self, locs):
+        locs = np.asarray(locs, dtype=float)
+        return locs[:, -1] - (locs[:, -2] / 100.0 - 0.5)
+
+
+class TestExtinctLineAndBoundaries:
+    def test_score_locations_query_only_off_line_rows(self, small_lp_map, monkeypatch):
+        dmap, _cfg = small_lp_map
+        rng = np.random.default_rng(3)
+        locs = np.column_stack([rng.integers(0, 4, 300).astype(float),
+                                rng.uniform(0.0, 0.999, 300)])
+        seen = []
+        batch = dmap.surrogate.predict_mean_many
+
+        def spy(xs):
+            seen.append(np.array(xs))
+            return batch(xs)
+
+        monkeypatch.setattr(dmap.surrogate, "predict_mean_many", spy)
+        scores = dmap.score_locations(locs)
+        off = locs[:, 0] != 0.0
+        assert 0 < off.sum() < 300
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], locs[off])
+        np.testing.assert_array_equal(scores, [dmap.score_location(loc) for loc in locs])
+
+    def test_build_map_scores_only_off_line_candidates(self, small_lp_map, case_params,
+                                                       case_costs, monkeypatch):
+        dmap, cfg = small_lp_map
+        seen = []
+        predict_many = LoessModel.predict_many
+
+        def spy(model, xs):
+            seen.append(np.array(xs))
+            return predict_many(model, xs)
+
+        monkeypatch.setattr(LoessModel, "predict_many", spy)
+        again = build_map(1, [], cfg, case_params, case_costs, ModelVariant.LP2D)
+        assert again.to_dict() == dmap.to_dict()
+        box = default_box(case_params, ModelVariant.LP2D)
+        root = RngStream(cfg.master_seed)
+        assert len(seen) == len(dmap.build_info["rounds"])
+        for rnd, rows in enumerate(seen, start=1):
+            cands = draw_design(box, cfg.d_candidates,
+                                root.derive(1, solver.LABEL_DESIGN, rnd),
+                                case_params, ModelVariant.LP2D)
+            np.testing.assert_array_equal(rows, cands[cands[:, 0] != 0.0])
+
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    def test_trace_matches_line_by_line_bisection(self, variant, small_lp_map,
+                                                  small_full_map):
+        dmap = small_lp_map[0] if variant == "lp2d" else small_full_map
+        i_axis = np.unique(audit_grid(dmap.domain, dmap.variant)[:, -2])
+        s_value = None if variant == "lp2d" else float(dmap.domain.upper[0] - 10)
+        lead = [] if s_value is None else [s_value]
+        p_lo, p_hi = dmap.domain.lower[-1], dmap.domain.upper[-1]
+        expected = [line_by_line_boundary(dmap, lead + [i1], p_lo, p_hi) for i1 in i_axis]
+        np.testing.assert_array_equal(boundary_trace(dmap, i_axis, s_value), expected)
+        for j in (0, 7):
+            assert boundary_in_p(dmap, lead + [i_axis[j]], p_lo, p_hi) == expected[j]
+
+    def test_trace_early_returns(self, small_lp_map):
+        dmap = CrossingMap(small_lp_map[0].domain)
+        i_axis = np.array([0.0, 20.0, 50.0, 80.0, 150.0, 160.0])
+        expected = [line_by_line_boundary(dmap, [i1], 0.0, 0.999) for i1 in i_axis]
+        trace = boundary_trace(dmap, i_axis)
+        np.testing.assert_array_equal(trace, expected)
+        assert trace[0] == trace[1] == 0.0       # announces on the whole line
+        assert np.isnan(trace[-2]) and np.isnan(trace[-1])  # waits up to p_hi
+        assert trace[3] == pytest.approx(0.3, abs=1e-3)
