@@ -196,8 +196,10 @@ def cmd_evaluate(cfg: RunConfig, map_paths: Sequence[str], allow_mismatch: bool,
     print(f"evaluate: {len(policies)} policies on {ev.n_paths} frozen paths "
           f"(variant={cfg.variant.value}, horizon={ev.horizon})")
     rng = RngStream(cfg.master_seed).derive(*EVAL_STREAM)
+    # each path is stepped only until every policy has announced on it
     paths = simulate_paths(
-        ev.x0, ev.n_paths, ev.horizon, cfg.epidemic, cfg.variant, rng, workers=workers
+        ev.x0, ev.n_paths, ev.horizon, cfg.epidemic, cfg.variant, rng,
+        workers=workers, policies=policies,
     )
 
     reports: list[StrategyReport] = []

@@ -1,49 +1,52 @@
 """Deterministic index-parallel evaluation via fork-based worker pools.
 
-Each simulated scenario owns its random stream, so the result of
-`fn(index)` never depends on which worker runs it or in which order.
-The work closure is handed to children through fork inheritance (set as
-a module global before the pool starts) to avoid pickling large models
-per task.
+Work is split into spans of consecutive indices, and `fn(lo, hi)` computes
+the results of one span as a block. Each simulated scenario owns its
+random stream, so a result never depends on which span holds its index,
+on which worker runs the span or in which order. The work closure is
+handed to children through fork inheritance (set as a module global
+before the pool starts) to avoid pickling large models per task.
 """
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-_WORK: Callable[[int], object] | None = None
+_WORK: Callable[[int, int], Sequence] | None = None
 
 _MIN_PER_WORKER = 16  # below this, pool overhead beats the speedup
 
 
-def _run_span(span: tuple[int, int]) -> list:
-    lo, hi = span
+def _run_span(span: tuple[int, int]) -> Sequence:
     fn = _WORK
     assert fn is not None
-    return [fn(i) for i in range(lo, hi)]
+    return fn(*span)
 
 
 def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def indexed_map(fn: Callable[[int], T], count: int, workers: int = 1) -> list[T]:
-    """[fn(0), ..., fn(count-1)], optionally computed by forked workers.
+def indexed_map(fn: Callable[[int, int], Sequence[T]], count: int,
+                workers: int = 1) -> list[T]:
+    """The results for items 0..count-1, computed span by span.
 
-    Results are returned in index order and are identical for any worker
-    count as long as fn(i) is self-contained (draws only from streams
-    derived from i).
+    `fn(lo, hi)` returns the hi - lo results of items lo..hi-1. A serial
+    run is one span; forked workers split the items into several. Results
+    are returned in index order and are identical for any worker count as
+    long as item i is self-contained (draws only from streams derived
+    from i).
     """
     global _WORK
     if count <= 0:
         return []
     workers = max(1, int(workers))
     if workers == 1 or count < 2 * _MIN_PER_WORKER or "fork" not in mp.get_all_start_methods():
-        return [fn(i) for i in range(count)]
+        return list(fn(0, count))
 
     n_spans = min(workers * 4, max(1, count // _MIN_PER_WORKER))
     bounds = [count * j // n_spans for j in range(n_spans + 1)]

@@ -12,7 +12,10 @@ falls in the iteration-(t-s) announce region (with the convention that the
 iteration-0 region covers everything, so every scenario stops by stage t).
 Past a configurable switch the scenario stopping rule freezes to the most
 recent map (receding horizon), and the iteration loop terminates once the
-surrogate stops changing in sup-norm on a fixed audit grid.
+surrogate stops changing in sup-norm on a fixed audit grid. Scenarios run
+in blocks through `run_scenarios`, the one stepping loop of the package,
+which also steps the evaluation paths of `strategy`: each stage asks the
+stop rule once for all live scenarios of the block.
 
 Designs grow sequentially: an initial Latin hypercube design is augmented
 in batches drawn toward the current announce/wait boundary, where the sign
@@ -24,7 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -294,6 +297,87 @@ class DetectionMap:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+# `stops(s, rows, s1, i1, p)` gets the block rows still live after stage s
+# and their stage-s states as arrays, and returns which of them stop at s
+StopRule = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def run_scenarios(
+    starts: Sequence[ReducedState],
+    streams: Sequence[RngStream],
+    horizon: int,
+    params: EpidemicParams,
+    variant: ModelVariant,
+    stops: Optional[StopRule] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step a block of scenarios stage by stage until each one stops.
+
+    Scenario j starts at `starts[j]` and draws only from `streams[j]`, stage
+    after stage, so its states do not depend on the block around it. After
+    each stage s < horizon, `stops` decides which of the live scenarios stop
+    at s (None: none do); the others stop at the horizon. Returns `s1`, `i1`
+    (int64) and `p` (float64), each of shape (len(starts), horizon + 1), and
+    `last`, the stage at which each scenario stopped. The stages past `last`
+    were never simulated: they hold -1 in the counts and NaN in `p`.
+    """
+    m = len(starts)
+    s1 = np.full((m, horizon + 1), -1, dtype=np.int64)
+    i1 = np.full((m, horizon + 1), -1, dtype=np.int64)
+    p = np.full((m, horizon + 1), np.nan)
+    last = np.full(m, horizon, dtype=np.int64)
+    states = list(starts)
+    s1[:, 0] = [x.s1 for x in states]
+    i1[:, 0] = [x.i1 for x in states]
+    p[:, 0] = [x.p for x in states]
+    live = np.arange(m)
+    for s in range(1, horizon + 1):
+        for j in live:
+            x = states[j] = step(states[j], params, variant, streams[j])
+            s1[j, s], i1[j, s], p[j, s] = x.s1, x.i1, x.p
+        if s == horizon or stops is None:
+            continue
+        stop = stops(s, live, s1[live, s], i1[live, s], p[live, s])
+        last[live[stop]] = s
+        live = live[~stop]
+        if live.size == 0:
+            break
+    return s1, i1, p, last
+
+
+def scenario_costs(
+    starts: Sequence[ReducedState],
+    streams: Sequence[RngStream],
+    t: int,
+    maps: Sequence[DetectionMap],
+    params: EpidemicParams,
+    costs: CostParams,
+    variant: ModelVariant,
+    *,
+    mpc_switch: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate a block of scenarios under the iteration-t stopping rule.
+
+    A scenario stops at the first stage s in 1..t whose state lies in the
+    announce region of map t - s (map 0 announces everywhere, so s = t is a
+    guaranteed stop). With `mpc_switch` set and t beyond it, membership is
+    instead tested against the single latest map while the stage cap s <= t
+    is kept. Each stage asks its map once, for all live scenarios of the
+    block. Returns the stopping stages and the realized pathwise costs.
+    """
+    if t < 1:
+        raise ValueError(f"iteration t must be at least 1, got {t}")
+    if len(maps) < t - 1:
+        raise ValueError(f"iteration {t} needs {t - 1} earlier maps, got {len(maps)}")
+    mpc = mpc_switch is not None and t > mpc_switch
+
+    def stops(s, rows, s1, i1, p):
+        dmap = maps[t - 2] if mpc else maps[t - s - 1]
+        return dmap.score_locations(dmap.location(s1, i1, p)) > 0.0
+
+    _, _, p, taus = run_scenarios(starts, streams, t, params, variant, stops)
+    return taus, np.array([pathwise_cost(p[j], taus[j], costs) for j in range(len(starts))])
+
+
 def path_and_cost(
     x0: ReducedState,
     t: int,
@@ -305,31 +389,13 @@ def path_and_cost(
     *,
     mpc_switch: Optional[int] = None,
 ) -> tuple[int, float]:
-    """Simulate one scenario from `x0` under the iteration-t stopping rule.
+    """`scenario_costs` for the one scenario from `x0` on stream `rng`.
 
-    The scenario stops at the first stage s in 1..t whose state lies in the
-    announce region of map t - s (map 0 announces everywhere, so s = t is a
-    guaranteed stop). With `mpc_switch` set and t beyond it, membership is
-    instead tested against the single latest map while the stage cap s <= t
-    is kept. Returns (tau, realized pathwise cost).
+    Returns (tau, realized pathwise cost).
     """
-    if t < 1:
-        raise ValueError(f"iteration t must be at least 1, got {t}")
-    if len(maps) < t - 1:
-        raise ValueError(f"iteration {t} needs {t - 1} earlier maps, got {len(maps)}")
-    mpc = mpc_switch is not None and t > mpc_switch
-
-    p_path = [x0.p]
-    x = x0
-    for s in range(1, t + 1):
-        x = step(x, params, variant, rng)
-        p_path.append(x.p)
-        if s == t:
-            break  # map 0 announces everywhere
-        dmap = maps[t - 2] if mpc else maps[t - s - 1]
-        if dmap.announce(x):
-            break
-    return s, pathwise_cost(p_path, s, costs)
+    taus, q = scenario_costs([x0], [rng], t, maps, params, costs, variant,
+                             mpc_switch=mpc_switch)
+    return int(taus[0]), float(q[0])
 
 
 def build_map(
@@ -361,11 +427,11 @@ def build_map(
     root = RngStream(config.master_seed)
 
     def simulate_block(locs: np.ndarray, start: int) -> np.ndarray:
-        def run(j: int) -> float:
-            stream = root.derive(t, LABEL_SCENARIO, start + j)
-            x0 = state_from_location(locs[j], variant, params)
-            _tau, q = path_and_cost(
-                x0, t, maps, params, costs, variant, stream,
+        def run(lo: int, hi: int) -> np.ndarray:
+            starts = [state_from_location(loc, variant, params) for loc in locs[lo:hi]]
+            streams = [root.derive(t, LABEL_SCENARIO, start + j) for j in range(lo, hi)]
+            _taus, q = scenario_costs(
+                starts, streams, t, maps, params, costs, variant,
                 mpc_switch=config.mpc_switch,
             )
             return q

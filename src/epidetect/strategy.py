@@ -3,24 +3,28 @@
 Policies decide, at each integer stage, whether to announce the outbreak.
 Because every policy here is a functional of the trajectory (none alters
 the dynamics), all policies are scored against the same frozen set of
-full-horizon trajectories: common random numbers make scenario-by-scenario
-comparisons meaningful. A frozen set stores its trajectories as three
+trajectories: common random numbers make scenario-by-scenario comparisons
+meaningful. A frozen set stores its trajectories as three
 (n_paths, horizon + 1) arrays, and a policy decides one stage at a time for
-every path that has not announced yet.
+every path that has not announced yet. Simulated for a set of policies, a
+path is stepped only until every one of them has announced on it, since
+no later stage is read; simulated without policies, it runs to the horizon.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import parallel
 from .costs import CostParams, pathwise_cost
-from .reduced import ModelVariant, ReducedState, step
+# `step` is not called here (`solver.run_scenarios` steps every path); it stays
+# a module attribute because bench/spans.py traces `strategy.step`
+from .reduced import ModelVariant, ReducedState, step  # noqa: F401
 from .rng import RngStream
 from .sir import EpidemicParams
-from .solver import DetectionMap
+from .solver import DetectionMap, StopRule, run_scenarios
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,18 @@ Policy = Union[ThresholdP, ThresholdT, MapPolicy]
 
 @dataclass
 class FrozenPaths:
-    """A reusable batch of full-horizon detection-state trajectories.
+    """A reusable batch of detection-state trajectories.
 
     Row n of `s1`, `i1` (int64) and `p` (float64), each of shape
-    (n_paths, horizon + 1), is path n at stages 0..horizon.
+    (n_paths, horizon + 1), is path n at stages 0..horizon, simulated up to
+    its stage `last[n]`. The stages after it were never simulated and hold
+    -1 in the counts and NaN in `p`, so a stray read shows.
     """
 
     s1: np.ndarray
     i1: np.ndarray
     p: np.ndarray
+    last: np.ndarray
     x0: ReducedState
     horizon: int
     variant: ModelVariant
@@ -113,7 +120,8 @@ class FrozenPaths:
 
     def fingerprint(self) -> tuple:
         """Identity of the scenario set; evaluations are only comparable
-        when their fingerprints agree."""
+        when their fingerprints agree. A set cut short for some policies
+        holds the same scenarios as the full-horizon set, so they share it."""
         return (
             self.master_seed,
             self.stream_path,
@@ -126,6 +134,22 @@ class FrozenPaths:
         )
 
 
+def _announced_by_all(policies: Sequence[Policy], size: int) -> StopRule:
+    """Stop rule of a block of `size` paths: a path stops once every policy
+    has announced on it."""
+    waiting = np.ones((len(policies), size), dtype=bool)
+
+    def stops(t, rows, s1, i1, p):
+        for policy, wait in zip(policies, waiting):
+            ask = np.flatnonzero(wait[rows])
+            if ask.size:
+                said = policy.decide(s1[ask], i1[ask], p[ask], t)
+                wait[rows[ask[said]]] = False
+        return ~waiting[:, rows].any(axis=0)
+
+    return stops
+
+
 def simulate_paths(
     x0: ReducedState,
     n_paths: int,
@@ -135,34 +159,36 @@ def simulate_paths(
     rng: RngStream,
     *,
     workers: int = 1,
+    policies: Sequence[Policy] = (),
 ) -> FrozenPaths:
-    """Simulate `n_paths` trajectories of `horizon` stages from `x0`.
+    """Simulate `n_paths` trajectories of up to `horizon` stages from `x0`.
 
     Path n draws from `rng.derive(n)`, so the set is reproducible for any
-    worker count and paths can be regenerated individually.
+    worker count and paths can be regenerated individually. With
+    `policies`, path n stops at the largest stopping stage among them
+    (the horizon where one never announces), which is every stage
+    `evaluate_on` reads for these policies; its stages up to there are
+    those of the full-horizon path. Without, every path runs to the horizon.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     variant = ModelVariant(variant)
+    policies = tuple(policies)
 
-    def run(n: int) -> tuple[list[int], list[int], list[float]]:
-        stream = rng.derive(n)
-        x = x0
-        s1, i1, p = [x.s1], [x.i1], [x.p]
-        for _ in range(horizon):
-            x = step(x, params, variant, stream)
-            s1.append(x.s1)
-            i1.append(x.i1)
-            p.append(x.p)
-        return s1, i1, p
+    def run(lo: int, hi: int) -> list:
+        stops = _announced_by_all(policies, hi - lo) if policies else None
+        streams = [rng.derive(n) for n in range(lo, hi)]
+        return list(zip(*run_scenarios([x0] * (hi - lo), streams, horizon, params,
+                                       variant, stops)))
 
-    s1, i1, p = zip(*parallel.indexed_map(run, n_paths, workers))
+    s1, i1, p, last = zip(*parallel.indexed_map(run, n_paths, workers))
     return FrozenPaths(
-        s1=np.array(s1, dtype=np.int64),
-        i1=np.array(i1, dtype=np.int64),
-        p=np.array(p, dtype=np.float64),
+        s1=np.array(s1),
+        i1=np.array(i1),
+        p=np.array(p),
+        last=np.array(last),
         x0=x0,
         horizon=horizon,
         variant=variant,
@@ -210,6 +236,8 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
     The stopping stage is the first t >= 1 where the policy announces,
     force-announcing at the horizon (counted as a cap hit) if it never
     does. The policy is asked once per stage, for the paths still waiting.
+    Raises `ValueError` when the policy waits on a path past its last
+    simulated stage: simulate the paths with the policy among `policies`.
     """
     horizon, n_paths = paths.horizon, paths.n_paths
     tau = np.full(n_paths, horizon)
@@ -218,6 +246,13 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
         rows = np.flatnonzero(waiting)
         if rows.size == 0:
             break
+        short = rows[paths.last[rows] < t]
+        if short.size:
+            n = int(short[0])
+            raise ValueError(
+                f"policy {policy.name} is still waiting on path {n} at stage {t}, "
+                f"past its last simulated stage {int(paths.last[n])}"
+            )
         stop = rows[policy.decide(paths.s1[rows, t], paths.i1[rows, t], paths.p[rows, t], t)]
         tau[stop] = t
         waiting[stop] = False

@@ -321,8 +321,11 @@ def test_criterion_6_property_bundle(solved_lp2d):
 
 
 class _AlwaysWait:
-    def announce(self, x):
-        return False
+    def location(self, s1, i1, p):
+        return np.stack([s1, i1, p], axis=-1, dtype=float)
+
+    def score_locations(self, locs):
+        return np.full(len(locs), -1.0)
 
 
 def test_criterion_7_paired_comparison(solved_cfa20, frozen_paths):

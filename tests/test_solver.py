@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from epidetect import (
     SrmcConfig,
     build_map,
     path_and_cost,
+    pathwise_cost,
     solve,
+    step,
 )
 from epidetect import solver
 from epidetect.loess import LoessModel
@@ -31,13 +34,22 @@ NO_NOISE = EpidemicParams(0.75, 0.5, 0.01, (2000, 2000), sigma_delta=0.0)
 
 
 class StubMap:
-    """Announce rule injected by tests in place of a fitted map."""
+    """Announce rule injected by tests in place of a fitted map.
+
+    `fn` decides one `ReducedState`; scenarios ask a block of states at
+    once through `location` and `score_locations`, which apply `fn` to each
+    row (score +1 announces, -1 waits).
+    """
 
     def __init__(self, fn):
         self._fn = fn
 
-    def announce(self, x):
-        return self._fn(x)
+    def location(self, s1, i1, p):
+        return np.stack([s1, i1, p], axis=-1, dtype=float)
+
+    def score_locations(self, locs):
+        return np.array([1.0 if self._fn(ReducedState(int(s1), int(i1), float(p))) else -1.0
+                         for s1, i1, p in np.atleast_2d(locs)])
 
 
 @pytest.fixture
@@ -246,6 +258,72 @@ class TestBuildMap:
             loc = np.array([rng.uniform(0, 400), rng.uniform(0, 0.999)])
             st = ReducedState(1500, int(loc[0]), loc[1])
             assert dmap.announce(st) == (dmap.score_location(np.array([st.i1, st.p])) > 0)
+
+
+
+def reference_path_and_cost(x0, t, maps, params, costs, variant, rng, mpc_switch):
+    """One scenario stepped alone, asking `announce` of one state per stage."""
+    mpc = mpc_switch is not None and t > mpc_switch
+    p_path, x = [x0.p], x0
+    for s in range(1, t + 1):
+        x = step(x, params, variant, rng)
+        p_path.append(x.p)
+        if s == t or (maps[t - 2] if mpc else maps[t - s - 1]).announce(x):
+            break
+    return s, pathwise_cost(p_path, s, costs)
+
+
+@pytest.fixture(scope="module", params=["lp2d", "full3d"])
+def map_sequence(request, case_params, case_costs):
+    """Maps of iterations 1..3, built with forked workers."""
+    cfg = SrmcConfig(master_seed=707, n0=48, n_batch=48, n_end=96,
+                     d_candidates=150, t_max=3)
+    variant = ModelVariant(request.param)
+    maps = []
+    for t in (1, 2, 3):
+        maps.append(build_map(t, maps, cfg, case_params, case_costs, variant, workers=2))
+    return cfg, maps
+
+
+class TestStageBatchedScenarios:
+    """`build_map` asks each map once per stage for a block of scenarios; every
+    response equals the scenario simulated on its own."""
+
+    def assert_responses_match(self, dmap, t, maps, cfg, params, costs):
+        root = RngStream(cfg.master_seed)
+        locs, responses = dmap.surrogate.inputs, dmap.surrogate.responses
+        assert locs.shape[0] == cfg.n_end
+        taus = []
+        for j, loc in enumerate(locs):
+            x0 = state_from_location(loc, dmap.variant, params)
+            stream = root.derive(t, solver.LABEL_SCENARIO, j)
+            ref = reference_path_and_cost(x0, t, maps, params, costs, dmap.variant,
+                                          stream, cfg.mpc_switch)
+            one = path_and_cost(x0, t, maps, params, costs, dmap.variant,
+                                root.derive(t, solver.LABEL_SCENARIO, j),
+                                mpc_switch=cfg.mpc_switch)
+            assert one == ref, j
+            assert responses[j] == ref[1], j
+            taus.append(ref[0])
+        return np.array(taus)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_responses_match_single_scenarios(self, t, map_sequence, case_params,
+                                              case_costs):
+        cfg, maps = map_sequence
+        taus = self.assert_responses_match(maps[t - 1], t, maps[: t - 1], cfg,
+                                           case_params, case_costs)
+        if t > 1:
+            assert np.any(taus < t)  # some scenarios stop on a map
+
+    def test_receding_horizon_responses(self, map_sequence, case_params, case_costs):
+        cfg, maps = map_sequence
+        mpc_cfg = dataclasses.replace(cfg, mpc_switch=2)
+        dmap = build_map(3, maps[:2], mpc_cfg, case_params, case_costs,
+                         maps[0].variant, workers=2)
+        self.assert_responses_match(dmap, 3, maps[:2], mpc_cfg, case_params, case_costs)
+        # stage 2 asks map 2, not map 1, so the design and its responses differ
+        assert dmap.to_dict()["design"] != maps[2].to_dict()["design"]
 
 
 class TestSolve:

@@ -246,6 +246,66 @@ class TestMatchesReference:
         assert report.mean_cost == float(np.mean(path_costs))
 
 
+
+class TestDemandDrivenPaths:
+    """Paths simulated for a set of policies stop once every one has announced."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("layout", ["lp2d", "full3d"])
+    def test_same_outcomes_as_full_horizon(self, layout, workers, lp_map, full_map,
+                                           case_params, case_x0, case_costs):
+        variant = ModelVariant(layout)
+        policies = [MapPolicy(lp_map if layout == "lp2d" else full_map),
+                    ThresholdP(0.8), ThresholdT(8)]
+        rng = RngStream(31).derive(0, 0)
+        full = simulate_paths(case_x0, 64, 20, case_params, variant, rng)
+        cut = simulate_paths(case_x0, 64, 20, case_params, variant, rng,
+                             workers=workers, policies=policies)
+        assert cut.fingerprint() == full.fingerprint()
+        for policy in policies:
+            a = evaluate_on(policy, full, case_costs)
+            b = evaluate_on(policy, cut, case_costs)
+            for name in ("taus", "costs", "p_taus"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (policy.name, name)
+            assert a.cap_hits == b.cap_hits
+        assert np.all(full.last == 20)
+        simulated = np.arange(21) <= cut.last[:, None]
+        assert not simulated.all()   # some stages were never simulated
+        for name in ("s1", "i1", "p"):
+            assert np.array_equal(getattr(cut, name)[simulated],
+                                  getattr(full, name)[simulated]), name
+        assert np.all(cut.s1[~simulated] == -1) and np.all(cut.i1[~simulated] == -1)
+        assert np.all(np.isnan(cut.p[~simulated]))
+
+    def test_last_stage_is_the_largest_tau(self, lp_map, case_params, case_x0, case_costs):
+        horizon = 20
+        rng = RngStream(32).derive(0, 0)
+        full = simulate_paths(case_x0, 100, horizon, case_params, ModelVariant.LP2D, rng)
+        rare = ThresholdP(0.999)
+        never = np.all(full.p[:, 1:] < rare.p_bar, axis=1)
+        assert never.any() and not never.all()
+        for policies in ([MapPolicy(lp_map), ThresholdP(0.8), ThresholdT(8)],
+                         [MapPolicy(lp_map), ThresholdP(0.8), rare]):
+            cut = simulate_paths(case_x0, 100, horizon, case_params, ModelVariant.LP2D,
+                                 rng, policies=policies)
+            taus = np.array([evaluate_on(p, cut, case_costs).taus for p in policies])
+            assert np.array_equal(cut.last, taus.max(axis=0))
+        assert np.all(cut.last[never] == horizon)
+        assert np.any(cut.last[~never] < horizon)
+
+    def test_policy_waiting_past_the_simulated_stages_raises(self, case_params, case_x0,
+                                                             case_costs):
+        cut = simulate_paths(case_x0, 50, 30, case_params, ModelVariant.FULL3D,
+                             RngStream(33).derive(0, 0), policies=[ThresholdP(0.8)])
+        evaluate_on(ThresholdP(0.8), cut, case_costs)
+        # the first path that runs out, at the first stage it lacks
+        n = int(np.argmin(cut.last))
+        assert cut.last[n] < 19
+        with pytest.raises(ValueError, match=rf"threshold_t_20 .* path {n} at stage "
+                                             rf"{cut.last[n] + 1},"):
+            evaluate_on(ThresholdT(20), cut, case_costs)
+
+
 class TestPairedCompare:
     def test_policy_against_itself_is_all_zeros(self, frozen, case_costs):
         a = evaluate_on(ThresholdP(0.8), frozen, case_costs)
