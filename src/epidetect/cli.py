@@ -24,7 +24,7 @@ from .costs import immediate_cost
 from .reduced import ModelVariant
 from .rng import RngStream
 from .sir import MultiPoolState, PoolState, outbreak_time, simulate_interval
-from .solver import DetectionMap, solve
+from .solver import DetectionMap, lattice, solve
 from .strategy import (
     MapPolicy,
     Policy,
@@ -127,21 +127,11 @@ def cmd_solve(cfg: RunConfig, workers: int) -> None:
 def _params_match(dmap: DetectionMap, cfg: RunConfig,
                   ignore_costs: bool = False) -> Optional[str]:
     """None when compatible, else a message citing both parameter sets."""
-    map_epi = dmap.epidemic
-    map_costs = dmap.costs
-    same_epi = (
-        map_epi.beta == cfg.epidemic.beta
-        and map_epi.gamma == cfg.epidemic.gamma
-        and map_epi.alpha == cfg.epidemic.alpha
-        and map_epi.pool_sizes == cfg.epidemic.pool_sizes
-        and map_epi.sigma_delta == cfg.epidemic.sigma_delta
-    )
-    same_costs = ignore_costs or map_costs == cfg.costs
-    if same_epi and same_costs:
+    if dmap.epidemic == cfg.epidemic and (ignore_costs or dmap.costs == cfg.costs):
         return None
     return (
         "map was built under different parameters than the config: "
-        f"map epidemic={map_epi}, costs={map_costs}; "
+        f"map epidemic={dmap.epidemic}, costs={dmap.costs}; "
         f"config epidemic={cfg.epidemic}, costs={cfg.costs} "
         "(pass --allow-param-mismatch to evaluate anyway)"
     )
@@ -321,11 +311,7 @@ def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     doc_hash = hashlib.sha256(Path(map_path).read_bytes()).hexdigest()[:16]
 
-    axes = [np.linspace(lo, hi, grid_n) for lo, hi in
-            zip(dmap.domain.lower, dmap.domain.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
-
+    grid = lattice(dmap.domain, grid_n)
     means, stderrs = dmap.surrogate.predict_many(grid)
     # the map's own decision, which is exact on the extinct line I1 = 0
     announce = dmap.score_locations(grid) > 0.0

@@ -4,28 +4,32 @@ A run configuration is a JSON document with sections
 
     {
       "master_seed": 123,                  # mandatory unless --seed is given
-      "variant": "full3d" | "lp2d",
-      "epidemic": {"beta", "gamma", "alpha", "pool_sizes", "sigma_delta"},
-      "costs":    {"c_fa", "c_delay"},
-      "srmc":     {"n0", "n_batch", "n_end", "d_candidates", "acquisition",
-                   "t_max", "mpc_switch", "tol", "span", "degree", "trace_s1"},
-      "evaluate": {"x0": [s1, i1, p], "n_paths", "horizon", "policies": [...]},
-      "simulate": {"x0": [s1, i1, p], "n_paths", "horizon", "two_pool"},
+      "variant": "full3d" | "lp2d",        # default "full3d"
+      "epidemic": {...},                   # EpidemicParams
+      "costs":    {...},                   # CostParams
+      "srmc":     {...},                   # SrmcConfig; "span", "degree" to LoessConfig
+      "evaluate": {"x0": [s1, i1, p], ...},  # EvaluateSettings
+      "simulate": {"x0": [s1, i1, p], ...},  # SimulateSettings
       "output":   {"dir": "out"}
     }
 
-Policy entries: {"kind": "map", "path": "...", "name": "..."} or
+`_CASTS` lists the keys each section may set and the cast each value goes
+through. A key the config leaves out takes the default of the dataclass it
+fills; a field without a default is a required key. Policy entries:
+{"kind": "map", "path": "...", "name": "..."} or
 {"kind": "threshold_p", "p_bar": 0.8} or {"kind": "threshold_t", "t_bar": 8}.
 
-All sections except epidemic/costs have defaults. The config hash (sha256
+Only epidemic and costs are required sections. The config hash (sha256
 of the canonical JSON with the output section removed) and the master seed
 are embedded in every output file for provenance.
 """
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional
 
@@ -38,32 +42,6 @@ from .solver import SrmcConfig
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
-
-
-def _section(raw: dict, name: str, required: bool = False) -> dict:
-    value = raw.get(name, None)
-    if value is None:
-        if required:
-            raise ConfigError(f"config is missing the required '{name}' section")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return dict(value)
-
-
-def _take(section: dict, used: set, key: str, default=None, required: bool = False):
-    used.add(key)
-    if key in section:
-        return section[key]
-    if required:
-        raise ConfigError(f"missing required config key '{key}'")
-    return default
-
-
-def _reject_unknown(section: dict, used: set, where: str) -> None:
-    unknown = set(section) - used
-    if unknown:
-        raise ConfigError(f"unknown config keys in '{where}': {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +92,71 @@ def _parse_x0(value: Any, where: str, pool_size: int) -> ReducedState:
         raise ConfigError(f"invalid '{where}.x0': s1 + i1 = {x0.s1 + x0.i1} exceeds "
                           f"the Pool-1 size {pool_size}")
     return x0
+
+
+def _nullable(cast):
+    return lambda value: None if value is None else cast(value)
+
+
+def _policies(value: Any) -> tuple[dict, ...]:
+    if not isinstance(value, list) or not all(isinstance(p, dict) for p in value):
+        raise ConfigError("'evaluate.policies' must be a list of policy objects")
+    return tuple(value)
+
+
+def _srmc_config(master_seed: int, **knobs) -> SrmcConfig:
+    """SrmcConfig whose LoessConfig takes the `span` and `degree` knobs."""
+    loess = {key: knobs.pop(key) for key in ("span", "degree") if key in knobs}
+    return SrmcConfig(master_seed, loess=LoessConfig(**loess), **knobs)
+
+
+# The keys each section may set, in the order their values are cast.
+# `evaluate` and `simulate` also take an `x0`, checked against the pool size.
+_CASTS: dict[str, dict] = {
+    "epidemic": {"beta": float, "gamma": float, "alpha": float, "pool_sizes": tuple,
+                 "sigma_delta": float},
+    "costs": {"c_fa": float, "c_delay": float},
+    "srmc": {"span": float, "degree": int, "n0": int, "n_batch": int, "n_end": int,
+             "d_candidates": int, "acquisition": lambda v: str(v).lower(),
+             "t_max": int, "mpc_switch": int, "tol": _nullable(float),
+             "trace_s1": _nullable(int)},
+    "evaluate": {"policies": _policies, "n_paths": int, "horizon": int},
+    "simulate": {"n_paths": int, "horizon": int, "two_pool": bool},
+}
+
+
+def _object(raw: dict, name: str) -> Optional[dict]:
+    value = raw.get(name)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"config section '{name}' must be an object")
+    return value
+
+
+def _read_section(raw: dict, name: str, build, casts: dict, required: bool = False,
+                  **given):
+    """`build(**given, ...)` from the keys section `name` sets, each through its cast.
+
+    Keys the section leaves out are not passed, so `build` supplies their
+    defaults, and a parameter of `build` without a default is a required key.
+    An optional section that is absent, null or empty gives None.
+    """
+    section = _object(raw, name)
+    if section is None and required:
+        raise ConfigError(f"config is missing the required '{name}' section")
+    if not section and not required:
+        return None
+    for param in inspect.signature(build).parameters.values():
+        if param.name in casts and param.default is param.empty and param.name not in section:
+            raise ConfigError(f"missing required config key '{param.name}'")
+    try:
+        built = build(**given, **{key: cast(section[key])
+                                  for key, cast in casts.items() if key in section})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid '{name}' section: {exc}") from exc
+    unknown = set(section) - set(casts)
+    if unknown:
+        raise ConfigError(f"unknown config keys in '{name}': {sorted(unknown)}")
+    return built
 
 
 def load_config(
@@ -169,106 +212,22 @@ def parse_config(
             f"unknown variant {variant_name!r}; choose 'full3d' or 'lp2d'"
         ) from exc
 
-    epi_raw = _section(raw, "epidemic", required=True)
-    used: set = set()
-    try:
-        epidemic = EpidemicParams(
-            beta=float(_take(epi_raw, used, "beta", required=True)),
-            gamma=float(_take(epi_raw, used, "gamma", required=True)),
-            alpha=float(_take(epi_raw, used, "alpha", required=True)),
-            pool_sizes=tuple(_take(epi_raw, used, "pool_sizes", required=True)),
-            sigma_delta=float(_take(epi_raw, used, "sigma_delta", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'epidemic' section: {exc}") from exc
-    _reject_unknown(epi_raw, used, "epidemic")
+    epidemic = _read_section(raw, "epidemic", EpidemicParams, _CASTS["epidemic"],
+                             required=True)
+    costs = _read_section(raw, "costs", CostParams, _CASTS["costs"], required=True)
+    srmc = (_read_section(raw, "srmc", _srmc_config, _CASTS["srmc"], master_seed=master_seed)
+            or SrmcConfig(master_seed))
+    settings = {}
+    for name, build in (("evaluate", EvaluateSettings), ("simulate", SimulateSettings)):
+        x0 = partial(_parse_x0, where=name, pool_size=epidemic.pool_sizes[0])
+        found = settings[name] = _read_section(raw, name, build, {"x0": x0, **_CASTS[name]})
+        if found is not None and (found.n_paths < 1 or found.horizon < 1):
+            raise ConfigError(f"'{name}.n_paths' and '{name}.horizon' must be positive")
 
-    costs_raw = _section(raw, "costs", required=True)
-    used = set()
-    try:
-        costs = CostParams(
-            c_fa=float(_take(costs_raw, used, "c_fa", required=True)),
-            c_delay=float(_take(costs_raw, used, "c_delay", required=True)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'costs' section: {exc}") from exc
-    _reject_unknown(costs_raw, used, "costs")
-
-    srmc_raw = _section(raw, "srmc")
-    used = set()
-    try:
-        loess_cfg = LoessConfig(
-            span=float(_take(srmc_raw, used, "span", 0.4)),
-            degree=int(_take(srmc_raw, used, "degree", 1)),
-        )
-        tol = _take(srmc_raw, used, "tol", None)
-        trace_s1 = _take(srmc_raw, used, "trace_s1", None)
-        srmc = SrmcConfig(
-            master_seed=master_seed,
-            n0=int(_take(srmc_raw, used, "n0", 200)),
-            n_batch=int(_take(srmc_raw, used, "n_batch", 200)),
-            n_end=int(_take(srmc_raw, used, "n_end", 2000)),
-            d_candidates=int(_take(srmc_raw, used, "d_candidates", 2500)),
-            acquisition=str(_take(srmc_raw, used, "acquisition", "min")).lower(),
-            t_max=int(_take(srmc_raw, used, "t_max", 20)),
-            mpc_switch=int(_take(srmc_raw, used, "mpc_switch", 5)),
-            tol=None if tol is None else float(tol),
-            loess=loess_cfg,
-            trace_s1=None if trace_s1 is None else int(trace_s1),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'srmc' section: {exc}") from exc
-    _reject_unknown(srmc_raw, used, "srmc")
-
-    eval_raw = _section(raw, "evaluate")
-    evaluate: Optional[EvaluateSettings] = None
-    if eval_raw:
-        used = set()
-        x0 = _parse_x0(_take(eval_raw, used, "x0", required=True), "evaluate",
-                       epidemic.pool_sizes[0])
-        policies = _take(eval_raw, used, "policies", [])
-        if not isinstance(policies, list) or not all(isinstance(p, dict) for p in policies):
-            raise ConfigError("'evaluate.policies' must be a list of policy objects")
-        try:
-            evaluate = EvaluateSettings(
-                x0=x0,
-                n_paths=int(_take(eval_raw, used, "n_paths", 1000)),
-                horizon=int(_take(eval_raw, used, "horizon", 50)),
-                policies=tuple(policies),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid 'evaluate' section: {exc}") from exc
-        if evaluate.n_paths < 1 or evaluate.horizon < 1:
-            raise ConfigError("'evaluate.n_paths' and 'evaluate.horizon' must be positive")
-        _reject_unknown(eval_raw, used, "evaluate")
-
-    sim_raw = _section(raw, "simulate")
-    simulate: Optional[SimulateSettings] = None
-    if sim_raw:
-        used = set()
-        x0 = _parse_x0(_take(sim_raw, used, "x0", required=True), "simulate",
-                       epidemic.pool_sizes[0])
-        try:
-            simulate = SimulateSettings(
-                x0=x0,
-                n_paths=int(_take(sim_raw, used, "n_paths", 3)),
-                horizon=int(_take(sim_raw, used, "horizon", 30)),
-                two_pool=bool(_take(sim_raw, used, "two_pool", False)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid 'simulate' section: {exc}") from exc
-        if simulate.n_paths < 1 or simulate.horizon < 1:
-            raise ConfigError("'simulate.n_paths' and 'simulate.horizon' must be positive")
-        _reject_unknown(sim_raw, used, "simulate")
-
-    out_raw = _section(raw, "output")
+    out_raw = _object(raw, "output") or {}
     output_dir = Path(out_override) if out_override else Path(out_raw.get("dir", "out"))
 
-    known = {"master_seed", "variant", "epidemic", "costs", "srmc",
-             "evaluate", "simulate", "output"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"master_seed", "variant", "output", *_CASTS}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
 
@@ -279,8 +238,8 @@ def parse_config(
         costs=costs,
         variant=variant,
         srmc=srmc,
-        evaluate=evaluate,
-        simulate=simulate,
+        evaluate=settings["evaluate"],
+        simulate=settings["simulate"],
         master_seed=master_seed,
         output_dir=output_dir,
         raw=raw,

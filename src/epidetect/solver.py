@@ -208,19 +208,19 @@ class DetectionMap:
 
     def score_location(self, loc) -> float:
         """qhat(loc) - d(loc); positive means announce."""
-        loc = np.asarray(loc, dtype=float)
-        if on_extinct_line(loc):
-            return float(extinct_margin(loc[-1], self.epidemic, self.costs))
-        return self.surrogate.predict_mean(loc) - immediate_cost(float(loc[-1]), self.costs)
+        return float(self.score_locations(np.asarray(loc, dtype=float)[None])[0])
 
     def score_locations(self, locs) -> np.ndarray:
-        """`score_location` for each row of `locs`; only off-line rows reach the surrogate."""
+        """qhat - d at each row of `locs`; only off-line rows reach the surrogate."""
         locs = np.asarray(locs, dtype=float)
         line = on_extinct_line(locs)
-        off = locs[~line]
         scores = np.empty(locs.shape[0])
-        scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
-        scores[~line] = self.surrogate.predict_mean_many(off) - immediate_cost(off[:, -1], self.costs)
+        if line.any():
+            scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
+        if not line.all():
+            off = locs[~line]
+            scores[~line] = (self.surrogate.predict_mean_many(off)
+                             - immediate_cost(off[:, -1], self.costs))
         return scores
 
     def announce(self, x: ReducedState) -> bool:
@@ -234,20 +234,10 @@ class DetectionMap:
             "iteration": self.iteration,
             "variant": self.variant.value,
             "master_seed": self.master_seed,
-            "epidemic": {
-                "beta": self.epidemic.beta,
-                "gamma": self.epidemic.gamma,
-                "alpha": self.epidemic.alpha,
-                "pool_sizes": list(self.epidemic.pool_sizes),
-                "sigma_delta": self.epidemic.sigma_delta,
-            },
-            "costs": {"c_fa": self.costs.c_fa, "c_delay": self.costs.c_delay},
+            "epidemic": asdict(self.epidemic),
+            "costs": asdict(self.costs),
             "loess": asdict(self.surrogate.config),
-            "domain": {
-                "lower": list(self.domain.lower),
-                "upper": list(self.domain.upper),
-                "integer": list(self.domain.integer),
-            },
+            "domain": asdict(self.domain),
             "design": {
                 "locations": self.surrogate.inputs.tolist(),
                 "responses": self.surrogate.responses.tolist(),
@@ -259,32 +249,18 @@ class DetectionMap:
     def from_dict(cls, doc: dict) -> "DetectionMap":
         if doc.get("format") != MAP_FORMAT:
             raise ValueError(f"unsupported map document format: {doc.get('format')!r}")
-        epidemic = EpidemicParams(
-            beta=doc["epidemic"]["beta"],
-            gamma=doc["epidemic"]["gamma"],
-            alpha=doc["epidemic"]["alpha"],
-            pool_sizes=tuple(doc["epidemic"]["pool_sizes"]),
-            sigma_delta=doc["epidemic"]["sigma_delta"],
-        )
-        costs = CostParams(**doc["costs"])
-        loess_cfg = LoessConfig(**doc["loess"])
-        domain = StateBox(
-            lower=tuple(doc["domain"]["lower"]),
-            upper=tuple(doc["domain"]["upper"]),
-            integer=tuple(doc["domain"]["integer"]),
-        )
         surrogate = loess_fit(
             np.array(doc["design"]["locations"], dtype=float),
             np.array(doc["design"]["responses"], dtype=float),
-            loess_cfg,
+            LoessConfig(**doc["loess"]),
         )
         return cls(
             surrogate=surrogate,
-            costs=costs,
+            costs=CostParams(**doc["costs"]),
             variant=ModelVariant(doc["variant"]),
             iteration=doc["iteration"],
-            domain=domain,
-            epidemic=epidemic,
+            domain=StateBox(**doc["domain"]),
+            epidemic=EpidemicParams(**doc["epidemic"]),
             master_seed=doc["master_seed"],
             build_info=doc.get("build_info", {}),
         )
@@ -487,12 +463,16 @@ def build_map(
     )
 
 
-def audit_grid(box: StateBox, variant: ModelVariant) -> np.ndarray:
-    """Fixed lattice on which surrogate convergence is measured."""
-    per_axis = 20 if variant is ModelVariant.FULL3D else 50
+def lattice(box: StateBox, per_axis: int) -> np.ndarray:
+    """Rows of the lattice with `per_axis` evenly spaced values on each axis of `box`."""
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
+
+
+def audit_grid(box: StateBox, variant: ModelVariant) -> np.ndarray:
+    """Fixed lattice on which surrogate convergence is measured."""
+    return lattice(box, 20 if variant is ModelVariant.FULL3D else 50)
 
 
 def boundary_lines(

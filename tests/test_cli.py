@@ -304,6 +304,44 @@ class TestExportMap:
             assert row["announce"] == str(int(a))
 
 
+class TestMapDocument:
+    """The epidemic, costs and domain sections of a map are their dataclasses' fields."""
+
+    def test_committed_map_round_trips_byte_for_byte(self):
+        path = REPO / "out" / "quick_lp" / "maps" / "map_t08.json"
+        doc = json.loads(path.read_text())
+        again = DetectionMap.from_dict(doc).to_dict()
+        again["config_hash"] = doc["config_hash"]
+        assert json.dumps(again) == path.read_text()
+
+    @pytest.mark.parametrize("section", ["epidemic", "costs", "domain"])
+    def test_unknown_key_is_rejected(self, solved, tmp_path, section):
+        _tp, cfg, out = solved
+        doc = json.loads((out / "maps" / "map_t02.json").read_text())
+        doc[section]["bogus"] = 1
+        with pytest.raises(TypeError, match="bogus"):
+            DetectionMap.from_dict(doc)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                   "--map", str(map_path), "--workers", "1"])
+        assert rc == 3
+
+    def test_missing_sigma_delta_takes_the_default(self, solved, tmp_path, capsys):
+        _tp, cfg, out = solved
+        doc = json.loads((out / "maps" / "map_t02.json").read_text())
+        del doc["epidemic"]["sigma_delta"]
+        assert DetectionMap.from_dict(doc).epidemic.sigma_delta == 0.0
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        # the config sets sigma_delta = 0.01, so the map's parameters disagree with it
+        rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                   "--map", str(map_path), "--workers", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sigma_delta=0.0)" in err and "sigma_delta=0.01)" in err
+
+
 @pytest.mark.slow
 def test_readme_commands_reproduce_committed_quick_lp(tmp_path, monkeypatch):
     """The README "Command line" block rewrites `out/quick_lp/` byte for byte."""
