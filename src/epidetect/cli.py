@@ -4,7 +4,8 @@ All randomness flows from the single master seed through derived streams;
 there is no ambient entropy, so identical invocations produce identical
 output bytes. Every output file embeds the config hash and master seed.
 
-Exit codes: 0 success, 2 configuration error, 3 solver/runtime error.
+Exit codes: 0 success, 2 configuration error, 3 solver/runtime error;
+-v/--verbose prints the traceback of a runtime error.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -369,6 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--map", required=True, help="detection-map JSON")
     p_exp.add_argument("--out", default="out", help="output directory")
     p_exp.add_argument("--grid", type=int, default=20, help="grid points per axis")
+
+    for p in (p_solve, p_eval, p_sim, p_exp):
+        p.add_argument("-v", "--verbose", action="store_true",
+                       help="print the traceback of a runtime error (exit 3)")
     return parser
 
 
@@ -398,6 +404,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # solver/runtime failure
+        if args.verbose:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

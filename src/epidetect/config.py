@@ -81,11 +81,25 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _integer(value: Any) -> int:
+    """int(value), refusing a number with a fraction (int() would truncate it)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value: Any) -> bool:
+    """A JSON boolean or 0/1; any other value, the string "false" too, is refused."""
+    if value not in (0, 1):
+        raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
+    return bool(value)
+
+
 def _parse_x0(value: Any, where: str, pool_size: int) -> ReducedState:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ConfigError(f"'{where}.x0' must be a 3-element list [s1, i1, p]")
     try:
-        x0 = ReducedState(int(value[0]), int(value[1]), float(value[2]))
+        x0 = ReducedState(_integer(value[0]), _integer(value[1]), float(value[2]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{where}.x0': {exc}") from exc
     if x0.s1 + x0.i1 > pool_size:
@@ -113,15 +127,16 @@ def _srmc_config(master_seed: int, **knobs) -> SrmcConfig:
 # The keys each section may set, in the order their values are cast.
 # `evaluate` and `simulate` also take an `x0`, checked against the pool size.
 _CASTS: dict[str, dict] = {
-    "epidemic": {"beta": float, "gamma": float, "alpha": float, "pool_sizes": tuple,
-                 "sigma_delta": float},
+    "epidemic": {"beta": float, "gamma": float, "alpha": float,
+                 "pool_sizes": lambda v: tuple(_integer(m) for m in v), "sigma_delta": float},
     "costs": {"c_fa": float, "c_delay": float},
-    "srmc": {"span": float, "degree": int, "n0": int, "n_batch": int, "n_end": int,
-             "d_candidates": int, "acquisition": lambda v: str(v).lower(),
-             "t_max": int, "mpc_switch": int, "tol": _nullable(float),
-             "trace_s1": _nullable(int)},
-    "evaluate": {"policies": _policies, "n_paths": int, "horizon": int},
-    "simulate": {"n_paths": int, "horizon": int, "two_pool": bool},
+    "srmc": {"span": float, "degree": _integer, "n0": _integer, "n_batch": _integer,
+             "n_end": _integer, "d_candidates": _integer,
+             "acquisition": lambda v: str(v).lower(), "t_max": _integer,
+             "mpc_switch": _integer, "tol": _nullable(float),
+             "trace_s1": _nullable(_integer)},
+    "evaluate": {"policies": _policies, "n_paths": _integer, "horizon": _integer},
+    "simulate": {"n_paths": _integer, "horizon": _integer, "two_pool": _boolean},
 }
 
 
@@ -200,7 +215,7 @@ def parse_config(
             "(runs never fall back to a random seed)"
         )
     try:
-        master_seed = int(master_seed)
+        master_seed = _integer(master_seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"master_seed must be an integer, got {master_seed!r}") from exc
 

@@ -8,11 +8,11 @@ proportion to an acquisition weight of that probability.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rng import RngStream
 
@@ -69,6 +69,18 @@ def lhs(box: StateBox, count: int, rng: RngStream) -> np.ndarray:
     return out
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_tail(z):
+    """Standard normal upper tail P(Z > z) = erfc(z / sqrt(2)) / 2, elementwise.
+
+    A float for scalar `z`, else a float array of its shape.
+    """
+    tail = 0.5 * np.asarray(_erfc(np.divide(z, math.sqrt(2.0))), dtype=float)
+    return float(tail) if tail.ndim == 0 else tail
+
+
 def boundary_probability(qhat, stderr, d):
     """Probability that the estimated sign of qhat - d is wrong.
 
@@ -81,8 +93,7 @@ def boundary_probability(qhat, stderr, d):
     gap = np.abs(qhat - d)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(stderr > 0, gap / np.where(stderr > 0, stderr, 1.0), np.inf)
-    p = ndtr(-z)
-    p = np.where((stderr == 0) & (gap == 0), 0.5, p)
+    p = np.where((stderr == 0) & (gap == 0), 0.5, normal_tail(z))
     if p.ndim == 0:
         return float(p)
     return p

@@ -23,8 +23,9 @@ of one row):
   * the standardized inputs u_i are centered at their column mean c0, and
     point i carries the upper triangle of v_i v_i' with v_i = [z_i, y_i]
     and basis row z_i = b(u_i - c0) (constant term last);
-  * per block, one `cdist` pass, a row-wise partition for the k-th
-    distance and the tricube weights; non-members get weight 0;
+  * per block, one pass of squared distances, summed coordinate by
+    coordinate over contiguous input columns, then a row-wise partition
+    for the k-th distance and the tricube weights; non-members get weight 0;
   * the weighted moments [Z y]' W [Z y] come from one (1 x N)(N x m)
     product per row and move to the query-centered basis by T(c), with
     b(u - c) = T(c) b(u) and c = x / scale - c0;
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 _BLOCK_ENTRIES = 1 << 14  # distance entries per block (128 KiB): larger blocks ran slower
 
@@ -171,15 +171,16 @@ class LoessModel:
         self.responses = responses
         self.config = config
         self.normalization = scales
-        self._scaled = inputs / scales
+        scaled = inputs / scales
+        self._columns = scaled.T.copy()  # one contiguous row per coordinate
         self._r = r
         self._k = min(n, max(math.ceil(config.span * n), min_nb))  # neighborhood size
 
         # Moment features in a basis centered at the data's mean: column by
         # column, a weighted sum of the rows of `_features` gives the upper
         # triangle of [Z y]' W [Z y], so Z'WZ, Z'Wy and y'Wy.
-        self._center = self._scaled.mean(axis=0)
-        self._z = _basis(self._scaled - self._center, config.degree)
+        self._center = scaled.mean(axis=0)
+        self._z = _basis(scaled - self._center, config.degree)
         zy = np.column_stack([self._z, responses])
         upper = np.triu_indices(r + 1)
         self._features = zy[:, upper[0]] * zy[:, upper[1]]
@@ -200,6 +201,20 @@ class LoessModel:
         r1 = self._r + 1
         return (w[:, None, :] @ self._features)[:, 0, self._symmetric].reshape(-1, r1, r1)
 
+    def _sq_distances(self, q: np.ndarray) -> np.ndarray:
+        """Squared distances from the standardized queries `q` (rows) to every point.
+
+        Summed coordinate by coordinate, ((0 + d_0^2) + d_1^2) + ..., one row
+        per query.
+        """
+        d2 = np.zeros((q.shape[0], self.n_points))
+        diff = np.empty_like(d2)
+        for j, col in enumerate(self._columns):
+            np.subtract(q[:, j, None], col, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(d2, diff, out=d2)
+        return d2
+
     def _fit_block(self, q: np.ndarray, with_se: bool, with_kernel: bool):
         """Local fits at the standardized queries `q` (rows of one block).
 
@@ -209,7 +224,7 @@ class LoessModel:
         """
         b = q.shape[0]
         n, k, r = self.n_points, self._k, self._r
-        d2 = cdist(q, self._scaled, "sqeuclidean")
+        d2 = self._sq_distances(q)
         d2max = d2.max(axis=1) if k == n else np.partition(d2, k - 1, axis=1)[:, k - 1]
 
         # tricube weights by products, clipped at 0 outside the neighborhood

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import parallel
 from .costs import CostParams, immediate_cost, pathwise_cost
@@ -40,6 +39,7 @@ from .design import (
     acquisition_weight,
     boundary_probability,
     lhs,
+    normal_tail,
     sample_indices,
 )
 from .loess import LoessConfig, LoessModel
@@ -169,7 +169,7 @@ def extinct_margin(p, epidemic: EpidemicParams, costs: CostParams):
     sigma = epidemic.sigma_delta
     if sigma > 0:
         z = p / sigma
-        gain = sigma * _INV_SQRT_2PI * np.exp(-0.5 * z * z) - p * ndtr(-z)
+        gain = sigma * _INV_SQRT_2PI * np.exp(-0.5 * z * z) - p * normal_tail(z)
         margin = margin - costs.c_fa * gain
     return margin
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,14 +106,31 @@ class TestSolveCommand:
         cfg2 = write_config(tmp_path, overrides={"bogus_section": {}})
         assert main(["solve", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 2
 
-    def test_solver_failure_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def failing_solve(tmp_path, *flags):
         # design too small for the local basis: the solver raises at fit time
         cfg = write_config(tmp_path, overrides={"srmc": {"n0": 2, "n_batch": 1,
                                                          "n_end": 2}})
-        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                   "--workers", "1"])
-        assert rc == 3
-        assert "error" in capsys.readouterr().err
+        return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--workers", "1", *flags])
+
+    def test_solver_failure_exits_3(self, tmp_path, capsys):
+        assert self.failing_solve(tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "error: need at least 3 points, got 2\n"
+
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_verbose_prints_the_traceback(self, tmp_path, capsys, flag):
+        assert self.failing_solve(tmp_path, flag) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last)")
+        assert 'raise ValueError(f"need at least' in err
+        assert err.endswith("error: need at least 3 points, got 2\n")
+
+    def test_verbose_leaves_config_errors_short(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, drop=("master_seed",))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "-v"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +360,27 @@ class TestMapDocument:
         assert rc == 2
         err = capsys.readouterr().err
         assert "sigma_delta=0.0)" in err and "sigma_delta=0.01)" in err
+
+
+# scipy is a test dependency only: the package must import and solve without it
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from epidetect import cli
+assert [m for m in sys.modules if m.startswith("scipy.")] == []
+sys.exit(cli.main(["solve", "--config", "config.json", "--out", "out", "--workers", "2"]))
+"""
+
+
+def test_solve_runs_without_scipy(tmp_path):
+    write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "out" / "convergence.json").read_text())
+    assert report["iterations"] == 2
 
 
 @pytest.mark.slow

@@ -129,6 +129,26 @@ class TestValues:
     def test_invalid_value(self, section, key, value, reason):
         rejects(with_(section, **{key: value}), f"invalid '{section}' section: {reason}")
 
+    @pytest.mark.parametrize("section, key", [
+        ("srmc", "degree"), ("srmc", "n0"), ("srmc", "n_batch"), ("srmc", "n_end"),
+        ("srmc", "d_candidates"), ("srmc", "t_max"), ("srmc", "mpc_switch"),
+        ("srmc", "trace_s1"), ("evaluate", "n_paths"), ("evaluate", "horizon"),
+        ("simulate", "n_paths"), ("simulate", "horizon"),
+    ])
+    @pytest.mark.parametrize("value", [2.9, float("inf"), float("nan")])
+    def test_integer_keys_refuse_fractions(self, section, key, value):
+        rejects(with_(section, **{key: value}),
+                f"invalid '{section}' section: expected an integer, got {value!r}")
+
+    def test_pool_sizes_refuse_fractions(self):
+        rejects(with_("epidemic", pool_sizes=[2000.5, 2000]),
+                "invalid 'epidemic' section: expected an integer, got 2000.5")
+
+    @pytest.mark.parametrize("value", ["false", "true", 2, -1, 0.5, None, [1]])
+    def test_two_pool_takes_booleans_and_0_or_1(self, value):
+        rejects(with_("simulate", two_pool=value),
+                f"invalid 'simulate' section: expected true, false, 0 or 1, got {value!r}")
+
     @pytest.mark.parametrize("section", ["evaluate", "simulate"])
     @pytest.mark.parametrize("value, message", [
         ([1990, 10], "'{s}.x0' must be a 3-element list [s1, i1, p]"),
@@ -138,6 +158,7 @@ class TestValues:
         ([1990, 10, 1.5], "invalid '{s}.x0': outbreak probability must lie in [0, 1], "
                           "got 1.5"),
         ([1990, 20, 0.1], "invalid '{s}.x0': s1 + i1 = 2010 exceeds the Pool-1 size 2000"),
+        ([1990.5, 10, 0.1], "invalid '{s}.x0': expected an integer, got 1990.5"),
     ])
     def test_bad_x0(self, section, value, message):
         rejects(with_(section, x0=value), message.format(s=section))
@@ -159,6 +180,7 @@ class TestValues:
                 "no master seed: set 'master_seed' in the config or pass --seed "
                 "(runs never fall back to a random seed)")
         rejects(with_(master_seed="abc"), "master_seed must be an integer, got 'abc'")
+        rejects(with_(master_seed=2.9), "master_seed must be an integer, got 2.9")
         rejects(with_(variant="bogus"), "unknown variant 'bogus'; choose 'full3d' or 'lp2d'")
         assert parse_config(with_(master_seed=...), seed_override=9).master_seed == 9
 
@@ -190,6 +212,15 @@ class TestAccepted:
             ReducedState(1990, 10, 0.1), 40, 12, ({"kind": "threshold_t", "t_bar": 4},))
         assert cfg.simulate == SimulateSettings(ReducedState(1995, 5, 0.0), 2, 7, True)
         assert cfg.simulate.two_pool is True
+
+    @pytest.mark.parametrize("value, flag", [(True, True), (False, False), (1, True),
+                                             (0, False)])
+    def test_two_pool_values(self, value, flag):
+        assert parse_config(with_("simulate", two_pool=value)).simulate.two_pool is flag
+
+    def test_integral_floats(self):
+        cfg = parse_config(with_("simulate", n_paths=2.0, x0=[1995.0, 5, 0.0]))
+        assert cfg.simulate.n_paths == 2 and cfg.simulate.x0 == ReducedState(1995, 5, 0.0)
 
     def test_defaults_come_from_the_dataclasses(self):
         cfg = parse_config(MINIMAL)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from epidetect import (
@@ -12,7 +13,7 @@ from epidetect import (
     boundary_probability,
     lhs,
 )
-from epidetect.design import sample_indices
+from epidetect.design import normal_tail, sample_indices
 
 UNIT_2D = StateBox(lower=(0.0, 0.0), upper=(1.0, 1.0), integer=(False, False))
 
@@ -75,6 +76,35 @@ class TestBoundaryProbability:
         assert out.shape == (3,)
         assert out[0] == pytest.approx(0.5)
         assert out[1] == 0.0
+
+
+class TestNormalTail:
+    def test_agrees_with_ndtr(self):
+        z = np.linspace(-8.0, 8.0, 16001)
+        np.testing.assert_allclose(normal_tail(z), ndtr(-z), rtol=1e-13, atol=0)
+        assert normal_tail(np.inf) == 0.0 and normal_tail(-np.inf) == 1.0
+        assert normal_tail(0.0) == 0.5
+
+    def test_boundary_probability_agrees_with_ndtr(self):
+        rng = np.random.default_rng(8)
+        se = 10.0 ** rng.uniform(-3.0, 3.0, size=5000)
+        qhat = rng.uniform(-8.0, 8.0, size=5000) * se + 2.0
+        expected = ndtr(-np.abs(qhat - 2.0) / se)
+        np.testing.assert_allclose(boundary_probability(qhat, se, 2.0), expected,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("z", [1.5, np.float64(1.5), np.array(1.5)])
+    def test_scalar_in_float_out(self, z):
+        assert type(normal_tail(z)) is float
+        assert normal_tail(z) == pytest.approx(ndtr(-1.5), rel=1e-13)
+        assert type(boundary_probability(z, 1.0, 0.0)) is float
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3)])
+    def test_arrays_keep_their_shape(self, shape):
+        z = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
+        for out in (normal_tail(z), boundary_probability(z, np.ones(shape), 0.0)):
+            assert isinstance(out, np.ndarray)
+            assert out.shape == shape and out.dtype == np.float64
 
 
 class TestAcquisitionWeight:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from epidetect import LoessConfig, fit, loess
 from epidetect.loess import basis_size
@@ -226,6 +227,23 @@ class TestPredictionProperties:
 
 class TestBlockKernel:
     """All four query methods run one block kernel, whose rows never mix."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_distances_match_cdist_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(75):
+            n = int(rng.integers(8, 200))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+            X = rng.normal(size=(n, d)) * scale
+            X[1:n // 4] = X[0]  # coincident points
+            model = fit(X, rng.normal(size=n), LoessConfig(span=0.5))
+            Q = np.vstack([X[:5], rng.normal(size=(10, d)) * scale,
+                           60.0 * rng.normal(size=(5, d)) * scale])  # far outside
+            q = Q / model.normalization
+            d2 = model._sq_distances(q)
+            assert d2.shape == (20, n)
+            np.testing.assert_array_equal(d2, cdist(q, X / model.normalization,
+                                                    "sqeuclidean"))
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from epidetect import (
     CostParams,
@@ -26,6 +27,7 @@ from epidetect.solver import (
     boundary_trace,
     default_box,
     draw_design,
+    extinct_margin,
     state_from_location,
     trace_distance,
 )
@@ -422,6 +424,23 @@ class CrossingMap:
 
 
 class TestExtinctLineAndBoundaries:
+    def test_extinct_margin_agrees_with_ndtr(self, case_params, case_costs):
+        sigma = case_params.sigma_delta
+        p = np.linspace(0.0, 8.0 * sigma, 4001)
+        z = p / sigma
+        gain = sigma * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) - p * ndtr(-z)
+        expected = case_costs.c_delay * p - case_costs.c_fa * gain
+        np.testing.assert_allclose(extinct_margin(p, case_params, case_costs), expected,
+                                   rtol=1e-13, atol=1e-13 * case_costs.c_fa * sigma)
+
+    def test_extinct_margin_shapes(self, case_params, case_costs):
+        scalar = extinct_margin(0.02, case_params, case_costs)
+        assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+        assert scalar == extinct_margin(np.array([0.02]), case_params, case_costs)[0]
+        grid = np.full((2, 3), 0.02)
+        assert extinct_margin(grid, case_params, case_costs).shape == (2, 3)
+        assert extinct_margin(grid, NO_NOISE, case_costs).shape == (2, 3)
+
     def test_score_locations_query_only_off_line_rows(self, small_lp_map, monkeypatch):
         dmap, _cfg = small_lp_map
         rng = np.random.default_rng(3)
