@@ -23,10 +23,9 @@ import numpy as np
 from . import parallel
 from .config import ConfigError, RunConfig, load_config
 from .costs import immediate_cost
-from .reduced import ModelVariant
 from .rng import RngStream
 from .sir import MultiPoolState, PoolState, outbreak_time, simulate_interval
-from .solver import DetectionMap, lattice, solve
+from .solver import MAP_COORDS, DetectionMap, lattice, solve
 from .strategy import (
     MapPolicy,
     Policy,
@@ -44,13 +43,9 @@ SIM_REDUCED_STREAM = (0, 1)
 SIM_TWO_POOL_STREAM = (0, 2)
 
 
-def _provenance_line(config_hash: str, master_seed: int) -> str:
-    return f"# config_hash={config_hash} master_seed={master_seed}"
-
-
 def _write_csv(path: Path, header: Sequence[str], rows, config_hash: str, seed: int) -> None:
     with path.open("w", newline="") as fh:
-        fh.write(_provenance_line(config_hash, seed) + "\n")
+        fh.write(f"# config_hash={config_hash} master_seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -91,18 +86,13 @@ def cmd_solve(cfg: RunConfig, workers: int) -> None:
         doc["config_hash"] = chash
         (maps_dir / f"map_t{dmap.iteration:02d}.json").write_text(json.dumps(doc))
 
-    rows = []
-    for dmap, trace in zip(result.maps, result.traces):
-        for i1, p in zip(result.trace_i_values, trace):
-            if cfg.variant is ModelVariant.FULL3D:
-                rows.append([dmap.iteration, _fmt(result.trace_s_value), _fmt(float(i1)),
-                             "" if np.isnan(p) else _fmt(float(p))])
-            else:
-                rows.append([dmap.iteration, _fmt(float(i1)),
-                             "" if np.isnan(p) else _fmt(float(p))])
-    header = (["t", "s1", "i1", "p_boundary"] if cfg.variant is ModelVariant.FULL3D
-              else ["t", "i1", "p_boundary"])
-    _write_csv(out / "boundaries.csv", header, rows, chash, cfg.master_seed)
+    # a full3d trace runs along I1 at the fixed S1 slice
+    lead = [] if result.trace_s_value is None else [_fmt(result.trace_s_value)]
+    rows = [[dmap.iteration, *lead, _fmt(float(i1)), "" if np.isnan(p) else _fmt(float(p))]
+            for dmap, trace in zip(result.maps, result.traces)
+            for i1, p in zip(result.trace_i_values, trace)]
+    _write_csv(out / "boundaries.csv", ["t", *MAP_COORDS[cfg.variant][:-1], "p_boundary"],
+               rows, chash, cfg.master_seed)
 
     report = {
         "config_hash": chash,
@@ -151,22 +141,13 @@ def _build_policies(cfg: RunConfig, map_paths: Sequence[str],
             raise ConfigError(mismatch)
         return MapPolicy(dmap, label=label)
 
-    for spec in specs:
-        kind = str(spec.get("kind", "")).lower()
-        if kind == "map":
-            if "path" not in spec:
-                raise ConfigError(f"map policy entry needs a 'path': {spec}")
+    for spec in specs:  # each checked and cast by the config
+        if spec["kind"] == "map":
             policies.append(load_map(spec["path"], spec.get("name")))
-        elif kind == "threshold_p":
-            if "p_bar" not in spec:
-                raise ConfigError(f"threshold_p policy entry needs 'p_bar': {spec}")
-            policies.append(ThresholdP(float(spec["p_bar"])))
-        elif kind == "threshold_t":
-            if "t_bar" not in spec:
-                raise ConfigError(f"threshold_t policy entry needs 't_bar': {spec}")
-            policies.append(ThresholdT(int(spec["t_bar"])))
+        elif spec["kind"] == "threshold_p":
+            policies.append(ThresholdP(spec["p_bar"]))
         else:
-            raise ConfigError(f"unknown policy kind {spec.get('kind')!r} in {spec}")
+            policies.append(ThresholdT(spec["t_bar"]))
     for path in map_paths:
         policies.append(load_map(path, Path(path).stem))
     if not policies:
@@ -206,12 +187,9 @@ def cmd_evaluate(cfg: RunConfig, map_paths: Sequence[str], allow_mismatch: bool,
               f"sd_cost={report.sd_cost:.2f} pfa={100 * report.pfa:.1f}% "
               f"cap_hits={report.cap_hits}")
 
-    header = ["policy", "n_paths", "mean_tau", "sd_tau", "mean_cost", "sd_cost",
-              "pfa", "cap_hits", "horizon"]
-    rows = [[r.policy_name, r.n_paths, _fmt(r.mean_tau), _fmt(r.sd_tau),
-             _fmt(r.mean_cost), _fmt(r.sd_cost), _fmt(r.pfa), r.cap_hits, r.horizon]
-            for r in reports]
-    _write_csv(out / "eval_summary.csv", header, rows, chash, cfg.master_seed)
+    summaries = [r.summary_dict() for r in reports]
+    _write_csv(out / "eval_summary.csv", list(summaries[0]),
+               [[_fmt(v) for v in row.values()] for row in summaries], chash, cfg.master_seed)
 
     # scenario-by-scenario comparison of the first policy against the rest
     paired = []
@@ -235,7 +213,7 @@ def cmd_evaluate(cfg: RunConfig, map_paths: Sequence[str], allow_mismatch: bool,
         "x0": [ev.x0.s1, ev.x0.i1, ev.x0.p],
         "n_paths": ev.n_paths,
         "horizon": ev.horizon,
-        "policies": [r.summary_dict() for r in reports],
+        "policies": summaries,
         "paired": paired,
         "config": cfg.raw,
     }
@@ -276,8 +254,6 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
     print(f"simulate: wrote {sim.n_paths} reduced trajectories to {out / 'trajectories.csv'}")
 
     if sim.two_pool:
-        if cfg.epidemic.n_pools < 2:
-            raise ConfigError("two_pool simulation needs at least two pool_sizes")
         m2 = cfg.epidemic.pool_sizes[1]
         rows = []
         root = RngStream(cfg.master_seed).derive(*SIM_TWO_POOL_STREAM)
@@ -320,11 +296,9 @@ def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
     rows = [[*(_fmt(float(v)) for v in loc), _fmt(float(mu)), _fmt(float(se)),
              _fmt(immediate_cost(float(loc[-1]), dmap.costs)), int(a)]
             for loc, mu, se, a in zip(grid, means, stderrs, announce)]
-    coord_names = (["s1", "i1", "p"] if dmap.variant is ModelVariant.FULL3D
-                   else ["i1", "p"])
     name = Path(map_path).stem
     _write_csv(out / f"{name}_grid.csv",
-               coord_names + ["qhat", "stderr", "d", "announce"],
+               [*MAP_COORDS[dmap.variant], "qhat", "stderr", "d", "announce"],
                rows, doc_hash, dmap.master_seed)
     print(f"export-map: wrote {out / (name + '_grid.csv')}")
 
@@ -379,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "export-map" and args.grid < 1:
+        parser.error(f"argument --grid: expected at least 1, got {args.grid}")
     try:
         if args.command == "export-map":
             cmd_export_map(args.map, args.out, args.grid)

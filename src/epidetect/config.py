@@ -15,9 +15,10 @@ A run configuration is a JSON document with sections
 
 `_CASTS` lists the keys each section may set and the cast each value goes
 through. A key the config leaves out takes the default of the dataclass it
-fills; a field without a default is a required key. Policy entries:
-{"kind": "map", "path": "...", "name": "..."} or
+fills; a field without a default is a required key. `_POLICY_CASTS` checks
+and casts each policy entry: {"kind": "map", "path": "...", "name": "..."} or
 {"kind": "threshold_p", "p_bar": 0.8} or {"kind": "threshold_t", "t_bar": 8}.
+A `simulate` section with `two_pool` on needs exactly two `pool_sizes`.
 
 Only epidemic and costs are required sections. The config hash (sha256
 of the canonical JSON with the output section removed) and the master seed
@@ -38,6 +39,7 @@ from .loess import LoessConfig
 from .reduced import ModelVariant, ReducedState
 from .sir import EpidemicParams
 from .solver import SrmcConfig
+from .strategy import ThresholdP, ThresholdT
 
 
 class ConfigError(Exception):
@@ -112,10 +114,38 @@ def _nullable(cast):
     return lambda value: None if value is None else cast(value)
 
 
+# The keys each kind of policy entry may set besides "kind", with their
+# casts; the first key is required. A threshold's cast runs its range check.
+_POLICY_CASTS: dict[str, dict] = {
+    "map": {"path": str, "name": _nullable(str)},
+    "threshold_p": {"p_bar": lambda v: ThresholdP(float(v)).p_bar},
+    "threshold_t": {"t_bar": lambda v: ThresholdT(_integer(v)).t_bar},
+}
+
+
+def _policy(spec: dict) -> dict:
+    """`spec` with its kind lower-cased and each value cast."""
+    kind = str(spec.get("kind", "")).lower()
+    if kind not in _POLICY_CASTS:
+        raise ConfigError(f"unknown policy kind {spec.get('kind')!r} in {spec}")
+    casts = _POLICY_CASTS[kind]
+    required = next(iter(casts))
+    if required not in spec:
+        article = "a " if kind == "map" else ""
+        raise ConfigError(f"{kind} policy entry needs {article}'{required}': {spec}")
+    if unknown := set(spec) - {"kind", *casts}:
+        raise ConfigError(f"unknown keys in policy entry {spec}: {sorted(unknown)}")
+    try:
+        return {"kind": kind,
+                **{key: cast(spec[key]) for key, cast in casts.items() if key in spec}}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid policy entry {spec}: {exc}") from exc
+
+
 def _policies(value: Any) -> tuple[dict, ...]:
     if not isinstance(value, list) or not all(isinstance(p, dict) for p in value):
         raise ConfigError("'evaluate.policies' must be a list of policy objects")
-    return tuple(value)
+    return tuple(_policy(spec) for spec in value)
 
 
 def _srmc_config(master_seed: int, **knobs) -> SrmcConfig:
@@ -238,6 +268,9 @@ def parse_config(
         found = settings[name] = _read_section(raw, name, build, {"x0": x0, **_CASTS[name]})
         if found is not None and (found.n_paths < 1 or found.horizon < 1):
             raise ConfigError(f"'{name}.n_paths' and '{name}.horizon' must be positive")
+    if settings["simulate"] and settings["simulate"].two_pool and epidemic.n_pools != 2:
+        raise ConfigError(f"'simulate.two_pool' needs exactly two pool_sizes, "
+                          f"got {epidemic.n_pools}")
 
     out_raw = _object(raw, "output") or {}
     output_dir = Path(out_override) if out_override else Path(out_raw.get("dir", "out"))

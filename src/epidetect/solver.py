@@ -55,6 +55,11 @@ LABEL_BATCH = 2
 
 MAP_FORMAT = "epidetect-map/1"
 
+# The state coordinates a map of each variant reads, in column order. I1 is
+# always second to last and P last, which `on_extinct_line`,
+# `score_locations`, `boundary_lines` and `state_from_location` rely on.
+MAP_COORDS = {ModelVariant.FULL3D: ("s1", "i1", "p"), ModelVariant.LP2D: ("i1", "p")}
+
 
 @dataclass(frozen=True)
 class SrmcConfig:
@@ -97,38 +102,27 @@ class SrmcConfig:
 
 
 def default_box(params: EpidemicParams, variant: ModelVariant) -> StateBox:
-    """Regression domain: detection happens while I1 is small.
+    """Regression domain on the `MAP_COORDS` of `variant`: detection happens while I1 is small.
 
-    I1 spans up to a fifth of the pool; S1 (3-D variant) spans the upper
-    half of the pool; P spans [0, 0.999] since P = 1 forces announcement.
+    I1 spans up to a fifth of the pool; S1 spans the upper half of the pool;
+    P spans [0, 0.999] since P = 1 forces announcement.
     """
     m1 = params.pool_sizes[0]
-    i_hi = max(1, m1 // 5)
-    p_bounds = (0.0, 0.999)
-    if variant is ModelVariant.FULL3D:
-        return StateBox(
-            lower=(m1 // 2, 0.0, p_bounds[0]),
-            upper=(m1, i_hi, p_bounds[1]),
-            integer=(True, True, False),
-        )
-    return StateBox(
-        lower=(0.0, p_bounds[0]),
-        upper=(i_hi, p_bounds[1]),
-        integer=(True, False),
-    )
+    axes = {"s1": (m1 // 2, m1, True), "i1": (0.0, max(1, m1 // 5), True),
+            "p": (0.0, 0.999, False)}
+    lower, upper, integer = zip(*(axes[c] for c in MAP_COORDS[ModelVariant(variant)]))
+    return StateBox(lower=lower, upper=upper, integer=integer)
 
 
 def state_from_location(
     loc: np.ndarray, variant: ModelVariant, params: EpidemicParams
 ) -> ReducedState:
-    """Initial detection state at a design location."""
+    """Initial detection state at a design location (S1 = M1 - I1 without an S1 axis)."""
     m1 = params.pool_sizes[0]
-    if variant is ModelVariant.FULL3D:
-        i1 = int(round(loc[1]))
-        s1 = min(int(round(loc[0])), m1 - i1)
-        return ReducedState(s1, i1, float(loc[2]))
-    i1 = int(round(loc[0]))
-    return ReducedState(max(m1 - i1, 0), i1, float(loc[1]))
+    i1, p = int(round(loc[-2])), float(loc[-1])
+    if "s1" in MAP_COORDS[ModelVariant(variant)]:
+        return ReducedState(min(int(round(loc[0])), m1 - i1), i1, p)
+    return ReducedState(max(m1 - i1, 0), i1, p)
 
 
 def draw_design(
@@ -140,7 +134,7 @@ def draw_design(
 ) -> np.ndarray:
     """LHS locations in `box`, repaired so S1 + I1 never exceeds the pool."""
     locs = lhs(box, count, rng)
-    if variant is ModelVariant.FULL3D:
+    if "s1" in MAP_COORDS[ModelVariant(variant)]:
         m1 = params.pool_sizes[0]
         np.minimum(locs[:, 0], m1 - locs[:, 1], out=locs[:, 0])
     return locs
@@ -150,7 +144,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def on_extinct_line(locs):
-    """Whether locations lie on the extinct line I1 = 0 (I1 is second to last)."""
+    """Whether locations lie on the extinct line I1 = 0 (second to last of `MAP_COORDS`)."""
     return np.asarray(locs)[..., -2] == 0.0
 
 
@@ -203,8 +197,8 @@ class DetectionMap:
 
     def location(self, s1, i1, p) -> np.ndarray:
         """Map coordinates of scalar states, or one row per state for arrays."""
-        coords = [s1, i1, p] if self.variant is ModelVariant.FULL3D else [i1, p]
-        return np.stack(coords, axis=-1, dtype=float)
+        state = {"s1": s1, "i1": i1, "p": p}
+        return np.stack([state[c] for c in MAP_COORDS[self.variant]], axis=-1, dtype=float)
 
     def score_location(self, loc) -> float:
         """qhat(loc) - d(loc); positive means announce."""
@@ -382,7 +376,6 @@ def build_map(
     costs: CostParams,
     variant: ModelVariant,
     *,
-    box: Optional[StateBox] = None,
     workers: int = 1,
 ) -> DetectionMap:
     """One sequential-design iteration: simulate, fit, augment toward the boundary.
@@ -398,8 +391,7 @@ def build_map(
     do not depend on batch scheduling or worker count.
     """
     variant = ModelVariant(variant)
-    if box is None:
-        box = default_box(params, variant)
+    box = default_box(params, variant)
     root = RngStream(config.master_seed)
 
     def simulate_block(locs: np.ndarray, start: int) -> np.ndarray:
@@ -550,11 +542,6 @@ class MapSequence:
     """Solve result: one map per iteration plus the convergence record."""
 
     maps: list[DetectionMap]
-    params: EpidemicParams
-    costs: CostParams
-    variant: ModelVariant
-    config: SrmcConfig
-    box: StateBox
     sup_diffs: list[float]            # |qhat_t - qhat_{t-1}|_sup on the audit grid
     traces: list[np.ndarray]          # boundary trace per iteration
     trace_i_values: np.ndarray
@@ -576,7 +563,6 @@ def solve(
     costs: CostParams,
     variant: ModelVariant,
     *,
-    box: Optional[StateBox] = None,
     workers: int = 1,
     progress=None,
 ) -> MapSequence:
@@ -585,21 +571,17 @@ def solve(
     Convergence is declared when the sup-norm difference of consecutive
     surrogates over the fixed audit grid drops below the tolerance
     (default 0.05 * c_delay; 0 disables the check). Boundary traces are
-    recorded per iteration for convergence reporting.
+    recorded per iteration for convergence reporting; `progress(t, sup)`
+    is called once per iteration, with sup = NaN at t = 1.
     """
     variant = ModelVariant(variant)
-    if box is None:
-        box = default_box(params, variant)
+    box = default_box(params, variant)
     tol = config.tol if config.tol is not None else 0.05 * costs.c_delay
     grid = audit_grid(box, variant)
-
-    if variant is ModelVariant.FULL3D:
-        s_value = float(config.trace_s1) if config.trace_s1 is not None \
-            else float(box.upper[0] - 10)
-        i_axis = np.unique(grid[:, 1])
-    else:
-        s_value = None
-        i_axis = np.unique(grid[:, 0])
+    i_axis = np.unique(grid[:, -2])
+    s_value = None
+    if "s1" in MAP_COORDS[variant]:
+        s_value = float(box.upper[0] - 10 if config.trace_s1 is None else config.trace_s1)
 
     maps: list[DetectionMap] = []
     traces: list[np.ndarray] = []
@@ -608,43 +590,30 @@ def solve(
     converged = False
 
     for t in range(1, config.t_max + 1):
-        dmap = build_map(
-            t, maps, config, params, costs, variant,
-            box=box, workers=workers,
-        )
+        dmap = build_map(t, maps, config, params, costs, variant, workers=workers)
         maps.append(dmap)
         q_grid = dmap.surrogate.predict_mean_many(grid)
         traces.append(boundary_trace(dmap, i_axis, s_value))
+        sup = math.nan if q_prev is None else float(np.max(np.abs(q_grid - q_prev)))
+        if progress is not None:
+            progress(t, sup)
         if q_prev is not None:
-            sup = float(np.max(np.abs(q_grid - q_prev)))
             sup_diffs.append(sup)
-            if progress is not None:
-                progress(t, sup)
-            if tol > 0 and sup < tol:
-                converged = True
-                break
-            q_prev = q_grid
-        else:
-            if progress is not None:
-                progress(t, math.nan)
-            q_prev = q_grid
+        q_prev = q_grid
+        if sup < tol:  # never at t = 1 (NaN) or with tol = 0
+            converged = True
+            break
 
     warning = None
     if not converged and tol > 0:
-        warning = (
-            f"surrogate not converged after {len(maps)} iterations "
-            f"(last sup diff {sup_diffs[-1]:.4g} vs tol {tol:.4g})"
-        )
+        compared = (f"last sup diff {sup_diffs[-1]:.4g} vs tol {tol:.4g}" if sup_diffs
+                    else f"no earlier surrogate was compared; tol {tol:.4g}")
+        warning = f"surrogate not converged after {len(maps)} iterations ({compared})"
     return MapSequence(
         maps=maps,
-        params=params,
-        costs=costs,
-        variant=variant,
-        config=config,
-        box=box,
         sup_diffs=sup_diffs,
         traces=traces,
-        trace_i_values=np.asarray(i_axis, dtype=float),
+        trace_i_values=i_axis,
         trace_s_value=s_value,
         converged=converged,
         warning=warning,

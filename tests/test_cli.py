@@ -127,6 +127,16 @@ class TestSolveCommand:
         assert 'raise ValueError(f"need at least' in err
         assert err.endswith("error: need at least 3 points, got 2\n")
 
+    def test_single_iteration_solve(self, tmp_path):
+        # the default tol asks for convergence, which one iteration cannot show
+        cfg = write_config(tmp_path, overrides={"srmc": {"t_max": 1, "tol": None}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        assert sorted(p.name for p in (out / "maps").iterdir()) == ["map_t01.json"]
+        report = json.loads((out / "convergence.json").read_text())
+        assert report["converged"] is False and report["sup_diffs"] == []
+        assert "no earlier surrogate was compared" in report["warning"]
+
     def test_verbose_leaves_config_errors_short(self, tmp_path, capsys):
         cfg = write_config(tmp_path, drop=("master_seed",))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "-v"]) == 2
@@ -173,6 +183,19 @@ class TestEvaluateCommand:
         cfg = write_config(tmp_path, overrides={"evaluate": {"policies": []}})
         rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")])
         assert rc == 2
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "threshold_t", "t_bar": 4.7},
+        {"kind": "threshold_p", "p_bar": 2},
+        {"kind": "threshold_t", "t_bar": "x"},
+        {"kind": "threshold_p", "p_bar": 0.8, "extra": 1},
+    ])
+    def test_bad_policy_entry_is_config_error(self, tmp_path, capsys, entry):
+        cfg = write_config(tmp_path, overrides={"evaluate": {"policies": [entry]}})
+        out = tmp_path / "e"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"policy entry {entry}" in capsys.readouterr().err
+        assert not out.exists()  # refused at load, before any path is simulated
 
     def test_param_mismatch_refused_and_cited(self, solved, tmp_path, capsys):
         _tp, _cfg, out = solved
@@ -240,6 +263,14 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert all(int(r["i2"]) == 0 for r in rows)
         assert all(r["theta"] == "" for r in rows)
+
+    @pytest.mark.parametrize("pool_sizes", [[2000], [2000, 2000, 2000]])
+    def test_two_pool_needs_exactly_two_pools(self, tmp_path, capsys, pool_sizes):
+        cfg = write_config(tmp_path, overrides={"epidemic": {"pool_sizes": pool_sizes}})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'simulate.two_pool' needs exactly two pool_sizes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reduced_trajectories_have_valid_p(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -322,6 +353,35 @@ class TestExportMap:
             assert float(row["qhat"]) == mu
             assert float(row["stderr"]) == se
             assert row["announce"] == str(int(a))
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_is_refused(self, solved, tmp_path, capsys, grid):
+        _tp, _cfg, out = solved
+        with pytest.raises(SystemExit) as info:
+            main(["export-map", "--map", str(out / "maps" / "map_t02.json"),
+                  "--out", str(tmp_path / "exp"), "--grid", grid])
+        assert info.value.code == 2
+        assert f"argument --grid: expected at least 1, got {grid}" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_full3d_solve_and_export_columns(self, tmp_path):
+        """A full3d map reads (S1, I1, P): its trace and grid files name those columns."""
+        cfg = write_config(tmp_path, overrides={"variant": "full3d",
+                                                "srmc": {"trace_s1": 1990}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        with (out / "boundaries.csv").open() as fh:
+            fh.readline()  # provenance
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "s1", "i1", "p_boundary"]
+        assert rows and all(row[1] == "1990.0" for row in rows)
+        assert main(["export-map", "--map", str(out / "maps" / "map_t02.json"),
+                     "--out", str(tmp_path / "exp"), "--grid", "4"]) == 0
+        with (tmp_path / "exp" / "map_t02_grid.csv").open() as fh:
+            fh.readline()  # provenance
+            header, *rows = list(csv.reader(fh))
+        assert header == ["s1", "i1", "p", "qhat", "stderr", "d", "announce"]
+        assert len(rows) == 4 ** 3
 
 
 class TestMapDocument:

@@ -168,6 +168,36 @@ class TestValues:
         rejects(with_("evaluate", policies=value),
                 "'evaluate.policies' must be a list of policy objects")
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "map"}, "map policy entry needs a 'path': {'kind': 'map'}"),
+        ({"kind": "threshold_p"}, "threshold_p policy entry needs 'p_bar': "
+                                  "{'kind': 'threshold_p'}"),
+        ({"kind": "threshold_t"}, "threshold_t policy entry needs 't_bar': "
+                                  "{'kind': 'threshold_t'}"),
+        ({"kind": "bogus"}, "unknown policy kind 'bogus' in {'kind': 'bogus'}"),
+        ({"t_bar": 4}, "unknown policy kind None in {'t_bar': 4}"),
+        ({"kind": "threshold_t", "t_bar": 4.7}, "invalid policy entry {'kind': 'threshold_t', "
+                                                "'t_bar': 4.7}: expected an integer, got 4.7"),
+        ({"kind": "threshold_p", "p_bar": 2}, "invalid policy entry {'kind': 'threshold_p', "
+                                              "'p_bar': 2}: p_bar must lie in (0, 1), got 2.0"),
+        ({"kind": "threshold_t", "t_bar": "x"}, "invalid policy entry {'kind': 'threshold_t', "
+                                                "'t_bar': 'x'}: invalid literal for int() with "
+                                                "base 10: 'x'"),
+        ({"kind": "threshold_p", "p_bar": 0.8, "extra": 1},
+         "unknown keys in policy entry {'kind': 'threshold_p', 'p_bar': 0.8, 'extra': 1}: "
+         "['extra']"),
+    ])
+    def test_bad_policy_entry(self, entry, message):
+        rejects(with_("evaluate", policies=[entry]), message)
+
+    @pytest.mark.parametrize("pool_sizes", [[2000], [2000, 2000, 2000]])
+    def test_two_pool_needs_exactly_two_pools(self, pool_sizes):
+        doc = with_("simulate", two_pool=True)
+        doc["epidemic"]["pool_sizes"] = pool_sizes
+        rejects(doc, f"'simulate.two_pool' needs exactly two pool_sizes, got {len(pool_sizes)}")
+        doc["simulate"]["two_pool"] = False
+        assert parse_config(doc).epidemic.n_pools == len(pool_sizes)
+
     @pytest.mark.parametrize("section", ["evaluate", "simulate"])
     @pytest.mark.parametrize("key", ["n_paths", "horizon"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -212,6 +242,15 @@ class TestAccepted:
             ReducedState(1990, 10, 0.1), 40, 12, ({"kind": "threshold_t", "t_bar": 4},))
         assert cfg.simulate == SimulateSettings(ReducedState(1995, 5, 0.0), 2, 7, True)
         assert cfg.simulate.two_pool is True
+
+    def test_policy_entries_are_cast(self):
+        policies = [{"kind": "THRESHOLD_P", "p_bar": "0.8"}, {"kind": "threshold_t", "t_bar": "8"},
+                    {"kind": "map", "path": "m.json", "name": "m"}]
+        cfg = parse_config(with_("evaluate", policies=policies))
+        assert cfg.evaluate.policies == ({"kind": "threshold_p", "p_bar": 0.8},
+                                         {"kind": "threshold_t", "t_bar": 8},
+                                         {"kind": "map", "path": "m.json", "name": "m"})
+        assert cfg.raw["evaluate"]["policies"] == policies  # hashed as written
 
     @pytest.mark.parametrize("value, flag", [(True, True), (False, False), (1, True),
                                              (0, False)])

@@ -351,6 +351,15 @@ class TestSolve:
         assert not seq.converged
         assert seq.warning is not None
 
+    def test_single_iteration_is_not_converged(self, case_params, case_costs):
+        cfg = SrmcConfig(master_seed=35, n0=60, n_batch=30, n_end=90,
+                         d_candidates=100, t_max=1)
+        seq = solve(cfg, case_params, case_costs, ModelVariant.LP2D)
+        assert seq.iterations == 1 and seq.sup_diffs == []
+        assert not seq.converged
+        assert seq.warning == ("surrogate not converged after 1 iterations "
+                               "(no earlier surrogate was compared; tol 0.05)")
+
     def test_solve_determinism(self, case_params, case_costs):
         cfg = SrmcConfig(master_seed=34, n0=60, n_batch=30, n_end=90,
                          d_candidates=100, t_max=2, tol=0.0)
@@ -379,7 +388,7 @@ class TestSolve:
         cfg = SrmcConfig(master_seed=11, n0=150, n_batch=150, n_end=600,
                          d_candidates=500, t_max=8, tol=0.0)
         seq = solve(cfg, case_params, case_costs, ModelVariant.LP2D)
-        grid = audit_grid(seq.box, seq.variant)
+        grid = audit_grid(seq.final().domain, seq.final().variant)
         d = case_costs.c_fa * (1.0 - grid[:, -1])
         means = []
         for dmap in seq.maps:
