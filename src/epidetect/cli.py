@@ -312,7 +312,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="master seed (overrides the config)")
     p.add_argument("--out", default=None, help="output directory (overrides the config)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: available cores)")
+                   help="worker processes, this one included "
+                        "(default: available cores)")
     p.add_argument("--variant", choices=["full3d", "lp2d"], default=None,
                    help="model variant (overrides the config)")
 
@@ -355,8 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "export-map" and args.grid < 1:
-        parser.error(f"argument --grid: expected at least 1, got {args.grid}")
+    for flag in ("grid", "workers"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            parser.error(f"argument --{flag}: expected at least 1, got {value}")
     try:
         if args.command == "export-map":
             cmd_export_map(args.map, args.out, args.grid)

@@ -1,33 +1,48 @@
-"""Deterministic index-parallel evaluation via fork-based worker pools.
+"""Deterministic index-parallel evaluation by fork-join.
 
-Work is split into spans of consecutive indices, and `fn(lo, hi)` computes
-the results of one span as a block. Each simulated scenario owns its
-random stream, so a result never depends on which span holds its index,
-on which worker runs the span or in which order. The work closure is
-handed to children through fork inheritance (set as a module global
-before the pool starts) to avoid pickling large models per task.
+Work is split into one span of consecutive indices per process, and
+`fn(lo, hi)` computes the results of one span as a block. The caller runs
+the first span itself; each other span runs in a child forked for this
+call, which already holds `fn` and everything it closes over, so nothing
+is pickled on the way in. A child pickles its results (or its exception)
+into a pipe and leaves by `os._exit`, so it never returns into the
+caller's stack and never runs the caller's exit handlers. The caller
+flushes its std streams before forking, so a child inherits empty buffers
+and flushes only what it wrote itself. The caller then reads the pipes in
+index order and reaps every child before it returns or raises.
+
+Each simulated scenario owns its random stream, so a result never depends
+on which span holds its index or on how many processes share the work.
+Without `os.fork` every call runs serially.
 """
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+import pickle
+import signal
+import sys
+import traceback
+# no pool is started here; `ProcessPoolExecutor` stays a module attribute
+# because bench/spans.py counts its constructions as `parallel.pools`
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-_WORK: Callable[[int, int], Sequence] | None = None
-
-_MIN_PER_WORKER = 16  # below this, pool overhead beats the speedup
+_MIN_PER_WORKER = 16  # below this, a fork costs more than the span saves
 
 
-def _run_span(span: tuple[int, int]) -> Sequence:
-    fn = _WORK
-    assert fn is not None
-    return fn(*span)
+class WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a forked worker."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def default_workers() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -35,30 +50,105 @@ def indexed_map(fn: Callable[[int, int], Sequence[T]], count: int,
                 workers: int = 1) -> list[T]:
     """The results for items 0..count-1, computed span by span.
 
-    `fn(lo, hi)` returns the hi - lo results of items lo..hi-1. A serial
-    run is one span; forked workers split the items into several. Results
-    are returned in index order and are identical for any worker count as
-    long as item i is self-contained (draws only from streams derived
-    from i).
+    `fn(lo, hi)` returns the hi - lo results of items lo..hi-1. The call
+    uses `min(workers, count // 16)` processes, itself included, one
+    contiguous span each; a serial run is one span. Results are returned
+    in index order and are identical for any worker count as long as item
+    i is self-contained (draws only from streams derived from i).
     """
-    global _WORK
     if count <= 0:
         return []
-    workers = max(1, int(workers))
-    if workers == 1 or count < 2 * _MIN_PER_WORKER or "fork" not in mp.get_all_start_methods():
+    n = min(int(workers), count // _MIN_PER_WORKER)
+    if n <= 1 or not hasattr(os, "fork"):
         return list(fn(0, count))
 
-    n_spans = min(workers * 4, max(1, count // _MIN_PER_WORKER))
-    bounds = [count * j // n_spans for j in range(n_spans + 1)]
-    spans = [(bounds[j], bounds[j + 1]) for j in range(n_spans) if bounds[j] < bounds[j + 1]]
-
-    _WORK = fn
+    bounds = [count * j // n for j in range(n + 1)]
+    _flush_std_streams()
+    children: list[tuple[int, BinaryIO]] = []
+    reaped = 0
     try:
-        ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            out: list[T] = []
-            for part in pool.map(_run_span, spans):
-                out.extend(part)
+        for j in range(1, n):
+            children.append(_fork_span(fn, bounds[j], bounds[j + 1]))
+        out = list(fn(bounds[0], bounds[1]))
+        for j, (pid, pipe) in enumerate(children, 1):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped += 1
+            out.extend(_unpack(data, j, status))
         return out
     finally:
-        _WORK = None
+        for pid, pipe in children[reaped:]:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):
+            pass
+
+
+def _fork_span(fn: Callable[[int, int], Sequence[T]], lo: int,
+               hi: int) -> tuple[int, BinaryIO]:
+    """Fork a child that sends the outcome of span lo..hi-1 down a pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(_outcome(fn, lo, hi))
+            code = 0
+        finally:
+            try:
+                _flush_std_streams()
+            finally:
+                os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _outcome(fn: Callable[[int, int], Sequence[T]], lo: int, hi: int) -> bytes:
+    """A span's pickled (results, None, ""), or (None, exception, traceback).
+
+    An exception that cannot make the round trip is sent as (None, None,
+    traceback).
+    """
+    try:
+        return pickle.dumps((list(fn(lo, hi)), None, ""), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        text = traceback.format_exc()
+        try:
+            payload = pickle.dumps((None, exc, text), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
+            return payload
+        except Exception:
+            return pickle.dumps((None, None, text), pickle.HIGHEST_PROTOCOL)
+
+
+def _unpack(data: bytes, j: int, status: int) -> list:
+    """The results sent by worker j; raises the error it raised or died of."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:  # a child exits 0 only once its whole outcome is written
+        how = f"exit status {code}" if code > 0 else f"signal {-code}"
+        raise RuntimeError(f"worker {j} died without sending a result ({how})")
+    results, exc, text = pickle.loads(data)
+    if exc is not None:
+        raise exc from WorkerTraceback(text)
+    if results is None:
+        raise RuntimeError(f"worker {j} raised an exception that cannot be "
+                           f"sent back:\n{text}")
+    return results

@@ -504,17 +504,6 @@ def boundary_lines(
     return out
 
 
-def boundary_in_p(
-    dmap: DetectionMap,
-    prefix: Sequence[float],
-    p_lo: float = 0.0,
-    p_hi: float = 0.999,
-    resolution: float = 1e-3,
-) -> float:
-    """`boundary_lines` for the single lattice line fixed by `prefix`."""
-    return float(boundary_lines(dmap, [list(prefix)], p_lo, p_hi, resolution)[0])
-
-
 def boundary_trace(
     dmap: DetectionMap,
     i_values: Sequence[float],

@@ -37,10 +37,11 @@ from epidetect import (
     solve,
 )
 from epidetect.loess import LoessConfig, fit
-from epidetect.solver import boundary_in_p, trace_distance
+from epidetect.solver import trace_distance
 
 from .sir_oracle import transition_rates
 from .test_loess import dense_wls_oracle
+from .test_solver import boundary_in_p
 
 pytestmark = pytest.mark.acceptance
 

@@ -137,6 +137,17 @@ class TestSolveCommand:
         assert report["converged"] is False and report["sup_diffs"] == []
         assert "no earlier surrogate was compared" in report["warning"]
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_are_refused(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--workers", workers])
+        assert info.value.code == 2
+        assert (f"argument --workers: expected at least 1, got {workers}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_verbose_leaves_config_errors_short(self, tmp_path, capsys):
         cfg = write_config(tmp_path, drop=("master_seed",))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "-v"]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from epidetect.loess import LoessModel
 from epidetect.solver import (
     DetectionMap,
     audit_grid,
-    boundary_in_p,
+    boundary_lines,
     boundary_trace,
     default_box,
     draw_design,
@@ -397,6 +398,17 @@ class TestSolve:
         assert means[-1] < means[0]  # overall improvement
         for prev, cur in zip(means, means[1:]):
             assert cur <= prev + 0.35, means  # no real regression, MC slack
+
+
+def boundary_in_p(
+    dmap: DetectionMap,
+    prefix: Sequence[float],
+    p_lo: float = 0.0,
+    p_hi: float = 0.999,
+    resolution: float = 1e-3,
+) -> float:
+    """`boundary_lines` for the single lattice line fixed by `prefix`."""
+    return float(boundary_lines(dmap, [list(prefix)], p_lo, p_hi, resolution)[0])
 
 
 def line_by_line_boundary(dmap, prefix, p_lo, p_hi, resolution=1e-3):
