@@ -153,6 +153,11 @@ def _build_policies(cfg: RunConfig, map_paths: Sequence[str],
     if not policies:
         raise ConfigError("no policies to evaluate: config 'evaluate.policies' "
                           "is empty and no --map was given")
+    names = [policy.name for policy in policies]
+    for name in names:
+        if names.count(name) > 1:  # each policy writes paths_<name>.csv
+            raise ConfigError(f"two policies are named {name!r}: give each a distinct "
+                              "name (a --map is named after its file stem)")
     return policies
 
 

@@ -217,6 +217,8 @@ def load_config(
         raw = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

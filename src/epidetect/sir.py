@@ -102,13 +102,13 @@ def single_pool_interval(
 ) -> tuple[int, int]:
     """Advance one isolated SIR pool by `duration` time units.
 
-    Tight kernel used both by `simulate_interval` for K = 1 and by the
-    reduced detection model for Pool-1 dynamics. Draw protocol per event:
-    one standard exponential for the holding time, one uniform for channel
-    selection (infection scanned before recovery). Raises ValueError unless
-    S >= 0, I >= 0 and S + I <= M; the events keep that invariant, since S
-    falls only by infection (rate 0 at S = 0), I falls only while I > 0, and
-    S + I never rises.
+    Tight kernel of the reduced detection model's Pool-1 dynamics; on one
+    pool, `simulate_interval` makes the same draws in the same order. Draw
+    protocol per event: one standard exponential for the holding time, one
+    uniform for channel selection (infection scanned before recovery).
+    Raises ValueError unless S >= 0, I >= 0 and S + I <= M; the events keep
+    that invariant, since S falls only by infection (rate 0 at S = 0), I
+    falls only while I > 0, and S + I never rises.
     """
     if s < 0 or i < 0 or s + i > m:
         raise ValueError(f"pool state S={s}, I={i} does not fit pool size {m}")
@@ -149,14 +149,6 @@ def simulate_interval(
     K = params.n_pools
     sizes = params.pool_sizes
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
-
-    if K == 1:
-        s0, i0 = single_pool_interval(
-            state.pools[0].susceptible, state.pools[0].infected,
-            sizes[0], beta, gamma, duration, gen,
-        )
-        return MultiPoolState((PoolState(s0, i0),), state.time + duration)
-
     s = [p.susceptible for p in state.pools]
     i = [p.infected for p in state.pools]
     pairs = [(k, kp) for k in range(K) for kp in range(K) if kp != k]

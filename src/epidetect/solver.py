@@ -92,7 +92,7 @@ class SrmcConfig:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
         if self.mpc_switch < 1:
             raise ValueError(f"mpc_switch must be at least 1, got {self.mpc_switch}")
-        if self.tol is not None and not (self.tol >= 0 or math.isinf(self.tol)):
+        if self.tol is not None and not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
         object.__setattr__(self, "acquisition", AcquisitionKind(self.acquisition))
 
@@ -258,9 +258,6 @@ class DetectionMap:
             master_seed=doc["master_seed"],
             build_info=doc.get("build_info", {}),
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "DetectionMap":
@@ -514,16 +511,6 @@ def boundary_trace(
     lead = [] if s_value is None else [np.full(i_values.shape, float(s_value))]
     prefixes = np.column_stack(lead + [i_values])
     return boundary_lines(dmap, prefixes, dmap.domain.lower[-1], dmap.domain.upper[-1])
-
-
-def trace_distance(trace_a: np.ndarray, trace_b: np.ndarray) -> float:
-    """Sup distance in P between two boundary traces.
-
-    Lines where waiting holds everywhere (NaN) count as a boundary at 1.
-    """
-    a = np.where(np.isnan(trace_a), 1.0, trace_a)
-    b = np.where(np.isnan(trace_b), 1.0, trace_b)
-    return float(np.max(np.abs(a - b)))
 
 
 @dataclass

@@ -290,10 +290,6 @@ class PairedComparison:
     frac_b_better: float
     mean_diff: float
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.diffs)
-
 
 def paired_compare(report_a: StrategyReport, report_b: StrategyReport) -> PairedComparison:
     """Compare two reports computed on the same frozen scenario set."""

@@ -6,7 +6,8 @@ speed; these readable versions check it rate by rate and draw by draw.
 """
 from typing import NamedTuple, Optional
 
-from epidetect import EpidemicParams, MultiPoolState, PoolState, RngStream
+from epidetect import EpidemicParams, RngStream
+from epidetect.sir import MultiPoolState, PoolState
 
 
 class Channel(NamedTuple):

@@ -11,37 +11,29 @@ import numpy as np
 import pytest
 
 from epidetect import (
-    AcquisitionKind,
     CostParams,
     EpidemicParams,
     MapPolicy,
     ModelVariant,
-    MultiPoolState,
-    PoolState,
     ReducedState,
     RngStream,
     SrmcConfig,
-    StateBox,
     ThresholdP,
-    ThresholdT,
-    acquisition_weight,
-    build_map,
     evaluate_on,
-    immediate_cost,
-    lhs,
     paired_compare,
-    path_and_cost,
-    pathwise_cost,
-    simulate_interval,
     simulate_paths,
     solve,
 )
+from epidetect.costs import immediate_cost, pathwise_cost
+from epidetect.design import AcquisitionKind, StateBox, acquisition_weight, lhs
 from epidetect.loess import LoessConfig, fit
-from epidetect.solver import trace_distance
+from epidetect.sir import MultiPoolState, PoolState, simulate_interval
+from epidetect.solver import build_map, path_and_cost
+from epidetect.strategy import ThresholdT
 
 from .sir_oracle import transition_rates
 from .test_loess import dense_wls_oracle
-from .test_solver import boundary_in_p
+from .test_solver import boundary_in_p, trace_distance
 
 pytestmark = pytest.mark.acceptance
 

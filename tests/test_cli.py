@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +150,23 @@ class TestSolveCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_negative_infinite_tol_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, overrides={"srmc": {"tol": -math.inf}})
+        assert '"tol": -Infinity' in cfg.read_text()
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "tol must be nonnegative, got -inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe"),
+    ], ids=["directory", "undecodable"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, make):
+        cfg = tmp_path / "config.json"
+        make(cfg)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config file {cfg}: ")
+
     def test_verbose_leaves_config_errors_short(self, tmp_path, capsys):
         cfg = write_config(tmp_path, drop=("master_seed",))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "-v"]) == 2
@@ -233,10 +252,12 @@ class TestEvaluateCommand:
         out_30 = tmp_path / "solve30"
         assert main(["solve", "--config", str(cfg_30), "--out", str(out_30),
                      "--workers", "1"]) == 0
-        sweep_cfg = write_config(tmp_path, overrides={"evaluate": {"policies": []}})
+        # both maps are map_t02.json, so they are named apart in the config
+        sweep_cfg = write_config(tmp_path, overrides={"evaluate": {"policies": [
+            {"kind": "map", "path": str(out / "maps" / "map_t02.json"), "name": "cfa20"},
+            {"kind": "map", "path": str(out_30 / "maps" / "map_t02.json"), "name": "cfa30"},
+        ]}})
         rc = main(["evaluate", "--config", str(sweep_cfg), "--out", str(tmp_path / "sweep"),
-                   "--map", str(out / "maps" / "map_t02.json"),
-                   "--map", str(out_30 / "maps" / "map_t02.json"),
                    "--per-map-costs", "--workers", "1"])
         assert rc == 0
         summary = json.loads((tmp_path / "sweep" / "eval_summary.json").read_text())
@@ -245,6 +266,41 @@ class TestEvaluateCommand:
         row20, row30 = summary["policies"]
         assert row30["mean_tau"] >= row20["mean_tau"]
         assert row30["pfa"] <= row20["pfa"]
+
+    @staticmethod
+    def refused_names(tmp_path, monkeypatch, capsys, policies, maps=()):
+        monkeypatch.setattr("epidetect.cli.simulate_paths",
+                            lambda *a, **k: pytest.fail("paths simulated"))
+        cfg = write_config(tmp_path, overrides={"evaluate": {"policies": policies}})
+        out = tmp_path / "e"
+        args = [arg for path in maps for arg in ("--map", str(path))]
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out), *args]) == 2
+        assert not any(out.iterdir())
+        return capsys.readouterr().err
+
+    def test_two_maps_with_one_stem_are_refused(self, solved, tmp_path, monkeypatch, capsys):
+        _tp, _cfg, out = solved
+        copy = tmp_path / "other" / "map_t02.json"
+        copy.parent.mkdir()
+        copy.write_bytes((out / "maps" / "map_t02.json").read_bytes())
+        err = self.refused_names(tmp_path, monkeypatch, capsys, [],
+                                 maps=[out / "maps" / "map_t02.json", copy])
+        assert "two policies are named 'map_t02'" in err
+
+    def test_two_identical_thresholds_are_refused(self, tmp_path, monkeypatch, capsys):
+        entry = {"kind": "threshold_p", "p_bar": 0.8}
+        err = self.refused_names(tmp_path, monkeypatch, capsys, [entry, dict(entry)])
+        assert "two policies are named 'threshold_p_0.8'" in err
+
+    def test_map_named_like_a_threshold_is_refused(self, solved, tmp_path, monkeypatch,
+                                                   capsys):
+        _tp, _cfg, out = solved
+        err = self.refused_names(tmp_path, monkeypatch, capsys, [
+            {"kind": "map", "path": str(out / "maps" / "map_t02.json"),
+             "name": "threshold_p_0.8"},
+            {"kind": "threshold_p", "p_bar": 0.8},
+        ])
+        assert "two policies are named 'threshold_p_0.8'" in err
 
 
 class TestSimulateCommand:
@@ -452,6 +508,19 @@ def test_solve_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads((tmp_path / "out" / "convergence.json").read_text())
     assert report["iterations"] == 2
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The README "Library use" block runs as written from the package root's exports."""
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    numbers = [float(v) for v in done.stdout.split()]
+    assert len(numbers) == 3 and all(math.isfinite(v) for v in numbers), done.stdout
 
 
 @pytest.mark.slow

@@ -125,6 +125,7 @@ class TestValues:
                                       "object or a real number, not 'NoneType'"),
         ("simulate", "n_paths", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("simulate", "horizon", "x", "invalid literal for int() with base 10: 'x'"),
+        ("srmc", "tol", float("-inf"), "tol must be nonnegative, got -inf"),
     ])
     def test_invalid_value(self, section, key, value, reason):
         rejects(with_(section, **{key: value}), f"invalid '{section}' section: {reason}")

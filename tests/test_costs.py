@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from epidetect import CostParams, immediate_cost, pathwise_cost
+from epidetect import CostParams
+from epidetect.costs import immediate_cost, pathwise_cost
 
 
 class TestImmediateCost:

@@ -5,15 +5,16 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from epidetect import (
+from epidetect import RngStream
+from epidetect.design import (
     AcquisitionKind,
-    RngStream,
     StateBox,
     acquisition_weight,
     boundary_probability,
     lhs,
+    normal_tail,
+    sample_indices,
 )
-from epidetect.design import normal_tail, sample_indices
 
 UNIT_2D = StateBox(lower=(0.0, 0.0), upper=(1.0, 1.0), integer=(False, False))
 

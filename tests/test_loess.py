@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from epidetect import LoessConfig, fit, loess
-from epidetect.loess import basis_size
+from epidetect import loess
+from epidetect.loess import LoessConfig, basis_size, fit
 
 
 def oracle_basis(X, degree):

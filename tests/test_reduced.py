@@ -7,10 +7,9 @@ from epidetect import (
     ModelVariant,
     ReducedState,
     RngStream,
-    drift,
     simulate_paths,
-    step,
 )
+from epidetect.reduced import drift, step
 
 
 class FixedNoiseStream:

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from epidetect import (
-    EpidemicParams,
+from epidetect import EpidemicParams, RngStream
+from epidetect.sir import (
     MultiPoolState,
     PoolState,
-    RngStream,
     outbreak_time,
     simulate_interval,
+    single_pool_interval,
 )
-from epidetect.sir import single_pool_interval
 
 from .sir_oracle import Channel, first_event, transition_rates
 
@@ -156,6 +155,22 @@ class TestSimulateInterval:
                     break
                 state = new_state
             assert state.pools == direct.pools
+
+    def test_single_pool_matches_the_reduced_kernel(self):
+        """On one pool the general loop makes the kernel's draws in its order."""
+        cases = np.random.default_rng(2015)
+        for n in range(300):
+            m = int(cases.integers(1, 3001))
+            s = 0 if n % 10 == 0 else int(cases.integers(0, m + 1))
+            i = 0 if n % 10 == 1 else int(cases.integers(0, m - s + 1))
+            beta, gamma = (float(v) for v in cases.uniform(0.05, 3.0, size=2))
+            duration = float(cases.uniform(0.1, 3.0))
+            params = EpidemicParams(beta=beta, gamma=gamma, alpha=0.01, pool_sizes=(m,))
+            loop, kernel = RngStream(5, (n,)), RngStream(5, (n,)).generator
+            out = simulate_interval(MultiPoolState((PoolState(s, i),)), params, duration, loop)
+            expected = single_pool_interval(s, i, m, beta, gamma, duration, kernel)
+            assert (out.pools[0].susceptible, out.pools[0].infected) == expected
+            assert loop.generator.random() == kernel.random()  # same next draw
 
 
 class TestOutbreakTime:

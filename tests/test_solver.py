@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from typing import Sequence
 
@@ -13,24 +14,23 @@ from epidetect import (
     ReducedState,
     RngStream,
     SrmcConfig,
-    build_map,
-    path_and_cost,
-    pathwise_cost,
     solve,
-    step,
 )
 from epidetect import solver
+from epidetect.costs import pathwise_cost
 from epidetect.loess import LoessModel
+from epidetect.reduced import step
 from epidetect.solver import (
     DetectionMap,
     audit_grid,
     boundary_lines,
     boundary_trace,
+    build_map,
     default_box,
     draw_design,
     extinct_margin,
+    path_and_cost,
     state_from_location,
-    trace_distance,
 )
 
 NO_NOISE = EpidemicParams(0.75, 0.5, 0.01, (2000, 2000), sigma_delta=0.0)
@@ -240,10 +240,16 @@ class TestBuildMap:
         with pytest.raises(ValueError):
             SrmcConfig(master_seed=1, t_max=0)
 
+    @pytest.mark.parametrize("tol", [-math.inf, -1.0, math.nan])
+    def test_tol_must_be_nonnegative(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol}"):
+            SrmcConfig(master_seed=1, tol=tol)
+        assert SrmcConfig(master_seed=1, tol=math.inf).tol == math.inf
+
     def test_serialization_round_trip_bit_exact(self, small_lp_map, tmp_path):
         dmap, _cfg = small_lp_map
         path = tmp_path / "map.json"
-        dmap.save(path)
+        path.write_text(json.dumps(dmap.to_dict()))
         loaded = DetectionMap.load(path)
         rng = np.random.default_rng(0)
         grid = np.column_stack([
@@ -398,6 +404,16 @@ class TestSolve:
         assert means[-1] < means[0]  # overall improvement
         for prev, cur in zip(means, means[1:]):
             assert cur <= prev + 0.35, means  # no real regression, MC slack
+
+
+def trace_distance(trace_a: np.ndarray, trace_b: np.ndarray) -> float:
+    """Sup distance in P between two boundary traces.
+
+    Lines where waiting holds everywhere (NaN) count as a boundary at 1.
+    """
+    a = np.where(np.isnan(trace_a), 1.0, trace_a)
+    b = np.where(np.isnan(trace_b), 1.0, trace_b)
+    return float(np.max(np.abs(a - b)))
 
 
 def boundary_in_p(

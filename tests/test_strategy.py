@@ -11,14 +11,14 @@ from epidetect import (
     RngStream,
     SrmcConfig,
     ThresholdP,
-    ThresholdT,
     MapPolicy,
-    build_map,
     evaluate_on,
     paired_compare,
-    pathwise_cost,
     simulate_paths,
 )
+from epidetect.costs import pathwise_cost
+from epidetect.solver import build_map
+from epidetect.strategy import ThresholdT
 
 
 def stage_block(s1, i1, p):
