@@ -24,7 +24,7 @@ from . import parallel
 from .config import ConfigError, RunConfig, load_config
 from .costs import immediate_cost
 from .rng import RngStream
-from .sir import MultiPoolState, PoolState, outbreak_time, simulate_interval
+from .sir import outbreak_time, simulate_interval
 from .solver import MAP_COORDS, DetectionMap, lattice, solve
 from .strategy import (
     MapPolicy,
@@ -129,13 +129,21 @@ def _params_match(dmap: DetectionMap, cfg: RunConfig,
     )
 
 
+def _load_map(path, source: str) -> DetectionMap:
+    """A missing map file is a configuration error; a malformed one is not."""
+    try:
+        return DetectionMap.load(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{source} names a map file that does not exist: {path}") from None
+
+
 def _build_policies(cfg: RunConfig, map_paths: Sequence[str],
                     allow_mismatch: bool, per_map_costs: bool) -> list[Policy]:
     policies: list[Policy] = []
     specs = list(cfg.evaluate.policies) if cfg.evaluate else []
 
-    def load_map(path, label):
-        dmap = DetectionMap.load(path)
+    def load_map(path, label, source):
+        dmap = _load_map(path, source)
         mismatch = _params_match(dmap, cfg, ignore_costs=per_map_costs)
         if mismatch and not allow_mismatch:
             raise ConfigError(mismatch)
@@ -143,13 +151,13 @@ def _build_policies(cfg: RunConfig, map_paths: Sequence[str],
 
     for spec in specs:  # each checked and cast by the config
         if spec["kind"] == "map":
-            policies.append(load_map(spec["path"], spec.get("name")))
+            policies.append(load_map(spec["path"], spec.get("name"), f"policy entry {spec}"))
         elif spec["kind"] == "threshold_p":
             policies.append(ThresholdP(spec["p_bar"]))
         else:
             policies.append(ThresholdT(spec["t_bar"]))
     for path in map_paths:
-        policies.append(load_map(path, Path(path).stem))
+        policies.append(load_map(path, Path(path).stem, "--map"))
     if not policies:
         raise ConfigError("no policies to evaluate: config 'evaluate.policies' "
                           "is empty and no --map was given")
@@ -264,21 +272,12 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
         root = RngStream(cfg.master_seed).derive(*SIM_TWO_POOL_STREAM)
         for n in range(sim.n_paths):
             stream = root.derive(n)
-            state = MultiPoolState(
-                (PoolState(sim.x0.s1, sim.x0.i1), PoolState(m2, 0)), 0.0
-            )
-            traj = [state]
+            traj = [((sim.x0.s1, m2), (sim.x0.i1, 0))]  # (s, i) count pairs per epoch
             for _ in range(sim.horizon):
-                state = simulate_interval(state, cfg.epidemic, 1.0, stream)
-                traj.append(state)
-            theta = outbreak_time(traj)
-            for t, st in enumerate(traj):
-                rows.append([
-                    n, t,
-                    st.pools[0].susceptible, st.pools[0].infected,
-                    st.pools[1].susceptible, st.pools[1].infected,
-                    "" if theta is None else theta,
-                ])
+                traj.append(simulate_interval(*traj[-1], cfg.epidemic, 1.0, stream))
+            theta = outbreak_time([i[1] for _s, i in traj])
+            for t, ((s1, s2), (i1, i2)) in enumerate(traj):
+                rows.append([n, t, s1, i1, s2, i2, "" if theta is None else theta])
         _write_csv(out / "two_pool.csv",
                    ["path", "t", "s1", "i1", "s2", "i2", "theta"],
                    rows, chash, cfg.master_seed)
@@ -289,7 +288,7 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
 
 
 def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
-    dmap = DetectionMap.load(map_path)
+    dmap = _load_map(map_path, "--map")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc_hash = hashlib.sha256(Path(map_path).read_bytes()).hexdigest()[:16]
@@ -376,7 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             variant_override=args.variant,
         )
         workers = args.workers if args.workers is not None else parallel.default_workers()
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             cmd_solve(cfg, workers)
         elif args.command == "evaluate":

@@ -8,7 +8,8 @@ continuous-time Markov jump dynamics:
   transmission  S(k) + I(k') -> I(k) + I(k')  rate  alpha * beta * I(k') * S(k) / M(k)
   recovery      I(k)         -> (removed)     rate  gamma * I(k)
 
-Recovered counts are implicit: R(k) = M(k) - S(k) - I(k). Simulation is
+A state is plain counts, one susceptible and one infected count per pool;
+recovered counts are implicit: R(k) = M(k) - S(k) - I(k). Simulation is
 the exact stochastic simulation algorithm (Gillespie direct method) with
 exponential holding times; rates are recomputed after every event.
 """
@@ -57,45 +58,6 @@ class EpidemicParams:
         return len(self.pool_sizes)
 
 
-@dataclass(frozen=True)
-class PoolState:
-    """Counts of one pool; recovered is implicit (M - S - I)."""
-
-    susceptible: int
-    infected: int
-
-    def __post_init__(self):
-        if self.susceptible < 0 or self.infected < 0:
-            raise ValueError(f"negative compartment count: {self}")
-
-    def recovered(self, pool_size: int) -> int:
-        r = pool_size - self.susceptible - self.infected
-        if r < 0:
-            raise ValueError(f"S + I exceeds pool size {pool_size}: {self}")
-        return r
-
-
-@dataclass(frozen=True)
-class MultiPoolState:
-    """Joint epidemic state of all pools at a point in continuous time."""
-
-    pools: tuple[PoolState, ...]
-    time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "pools", tuple(self.pools))
-        if self.time < 0:
-            raise ValueError(f"time must be nonnegative, got {self.time}")
-
-    def validate(self, params: EpidemicParams) -> None:
-        if len(self.pools) != params.n_pools:
-            raise ValueError(
-                f"state has {len(self.pools)} pools, params expect {params.n_pools}"
-            )
-        for pool, m in zip(self.pools, params.pool_sizes):
-            pool.recovered(m)  # raises if S + I > M
-
-
 def single_pool_interval(
     s: int, i: int, m: int, beta: float, gamma: float, duration: float,
     gen,
@@ -130,27 +92,35 @@ def single_pool_interval(
 
 
 def simulate_interval(
-    state: MultiPoolState,
+    s: Sequence[int],
+    i: Sequence[int],
     params: EpidemicParams,
     duration: float,
     rng: RngStream,
-) -> MultiPoolState:
-    """Exact SSA evolution of `state` over `duration` time units.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact SSA evolution of the pools' counts over `duration` time units.
 
-    Waiting times are exponential with the total rate; channels fire with
+    `s` and `i` hold one susceptible and one infected count per pool; the
+    result is the pair (s, i) of count tuples after `duration`. Waiting
+    times are exponential with the total rate; channels fire with
     probability proportional to their rates, each moving one individual.
     If the total rate hits zero the remaining interval passes without
-    events. The returned state has `time` advanced by `duration`.
+    events or draws. Raises ValueError unless there is one count pair per
+    pool and every pool has S >= 0, I >= 0 and S + I <= M.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    state.validate(params)
-    gen = rng.generator
     K = params.n_pools
     sizes = params.pool_sizes
+    n = len(s) if len(s) != K else len(i)
+    if n != K:
+        raise ValueError(f"state has {n} pools, params expect {K}")
+    for sk, ik, m in zip(s, i, sizes):
+        if sk < 0 or ik < 0 or sk + ik > m:
+            raise ValueError(f"pool state S={sk}, I={ik} does not fit pool size {m}")
+    gen = rng.generator
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
-    s = [p.susceptible for p in state.pools]
-    i = [p.infected for p in state.pools]
+    s, i = list(s), list(i)
     pairs = [(k, kp) for k in range(K) for kp in range(K) if kp != k]
     n_inf = K
     n_trans = len(pairs)
@@ -194,29 +164,15 @@ def simulate_interval(
             i[k] += 1
         else:  # recovery
             i[idx - n_inf - n_trans] -= 1
-
-    pools = tuple(PoolState(s[k], i[k]) for k in range(K))
-    return MultiPoolState(pools, state.time + duration)
+    return tuple(s), tuple(i)
 
 
-def outbreak_time(trajectory: Sequence[MultiPoolState]) -> Optional[int]:
-    """First integer epoch at which Pool 2 acquires infecteds.
+def outbreak_time(i2: Sequence[int]) -> Optional[int]:
+    """First integer epoch at which Pool 2 holds infecteds.
 
-    `trajectory` must be sampled at integer epochs t = 0, 1, 2, ... .
-    Returns the smallest t with I2[t-1] = 0 and I2[t] > 0; by convention 0
-    if Pool 2 is already infected at the start; None if Pool 2 never gets
-    infected within the trajectory.
+    `i2` holds Pool 2's infected counts at epochs t = 0, 1, 2, ... . Returns
+    the smallest t with i2[t] > 0, so 0 if Pool 2 is infected from the start
+    (any later first positive count follows a zero), and None if Pool 2
+    never gets infected within the trajectory.
     """
-    i2 = []
-    for st in trajectory:
-        if len(st.pools) < 2:
-            raise ValueError("outbreak_time needs at least two pools per state")
-        i2.append(st.pools[1].infected)
-    if not i2:
-        return None
-    if i2[0] > 0:
-        return 0
-    for t in range(1, len(i2)):
-        if i2[t - 1] == 0 and i2[t] > 0:
-            return t
-    return None
+    return next((t for t, infected in enumerate(i2) if infected > 0), None)

@@ -4,10 +4,9 @@ rates, and a one-event Gillespie draw.
 `simulate_interval` inlines the same channel order and draw protocol for
 speed; these readable versions check it rate by rate and draw by draw.
 """
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from epidetect import EpidemicParams, RngStream
-from epidetect.sir import MultiPoolState, PoolState
 
 
 class Channel(NamedTuple):
@@ -19,20 +18,17 @@ class Channel(NamedTuple):
 
 
 def transition_rates(
-    state: MultiPoolState, params: EpidemicParams
+    s: Sequence[int], i: Sequence[int], params: EpidemicParams
 ) -> list[tuple[Channel, float]]:
-    """All 2K + K(K-1) channel rates at `state`.
+    """All 2K + K(K-1) channel rates at the per-pool counts `s`, `i`.
 
     Order: infections for k = 0..K-1, transmissions for ordered pairs
     (k, k') with k' != k, recoveries for k = 0..K-1. All rates are
     nonnegative; every rate is zero once no pool has infecteds.
     """
-    state.validate(params)
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
     sizes = params.pool_sizes
     K = params.n_pools
-    s = [p.susceptible for p in state.pools]
-    i = [p.infected for p in state.pools]
 
     rates: list[tuple[Channel, float]] = []
     for k in range(K):
@@ -49,15 +45,15 @@ def transition_rates(
 
 
 def first_event(
-    state: MultiPoolState, params: EpidemicParams, rng: RngStream
-) -> Optional[tuple[Channel, float, MultiPoolState]]:
-    """Draw the next reaction: (channel, waiting time, new state).
+    s: Sequence[int], i: Sequence[int], params: EpidemicParams, rng: RngStream
+) -> Optional[tuple[Channel, float, tuple[int, ...], tuple[int, ...]]]:
+    """Draw the next reaction: (channel, waiting time, new s, new i).
 
     Returns None when the total rate is zero (frozen state). Uses the same
     draw protocol as `simulate_interval`: one standard exponential for the
     holding time, one uniform scanned against the `transition_rates` order.
     """
-    pairs = transition_rates(state, params)
+    pairs = transition_rates(s, i, params)
     total = 0.0
     for _, r in pairs:
         total += r
@@ -73,12 +69,10 @@ def first_event(
         if u < acc:
             chosen = ch
             break
-    s = [p.susceptible for p in state.pools]
-    i = [p.infected for p in state.pools]
+    s, i = list(s), list(i)
     if chosen.kind == "recovery":
         i[chosen.pool] -= 1
     else:  # infection or transmission both move one susceptible to infected
         s[chosen.pool] -= 1
         i[chosen.pool] += 1
-    pools = tuple(PoolState(sk, ik) for sk, ik in zip(s, i))
-    return chosen, dt, MultiPoolState(pools, state.time + dt)
+    return chosen, dt, tuple(s), tuple(i)

@@ -27,7 +27,7 @@ from epidetect import (
 from epidetect.costs import immediate_cost, pathwise_cost
 from epidetect.design import AcquisitionKind, StateBox, acquisition_weight, lhs
 from epidetect.loess import LoessConfig, fit
-from epidetect.sir import MultiPoolState, PoolState, simulate_interval
+from epidetect.sir import simulate_interval
 from epidetect.solver import build_map, path_and_cost
 from epidetect.strategy import ThresholdT
 
@@ -227,16 +227,16 @@ def test_criterion_6_property_bundle(solved_lp2d):
     costs = CostParams(c_fa=20.0, c_delay=1.0)
 
     # SSA conservation + rate count along a simulated 2-pool path
-    state = MultiPoolState((PoolState(1990, 10), PoolState(2000, 0)))
+    s, i = (1990, 2000), (10, 0)
     rng = RngStream(61)
     conserved, count_ok = True, True
     for _ in range(12):
-        rates = transition_rates(state, CASE_PARAMS)
+        rates = transition_rates(s, i, CASE_PARAMS)
         count_ok &= len(rates) == 2 * 2 + 2 * 1
-        state = simulate_interval(state, CASE_PARAMS, 1.0, rng)
-        for pool, m in zip(state.pools, CASE_PARAMS.pool_sizes):
-            conserved &= 0 <= pool.susceptible and 0 <= pool.infected
-            conserved &= pool.susceptible + pool.infected <= m
+        s, i = simulate_interval(s, i, CASE_PARAMS, 1.0, rng)
+        for sk, ik, m in zip(s, i, CASE_PARAMS.pool_sizes):
+            conserved &= 0 <= sk and 0 <= ik
+            conserved &= sk + ik <= m
     c.check("SSA conservation along trajectory", conserved)
     c.check("rate count is 2K + K(K-1)", count_ok)
 

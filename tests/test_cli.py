@@ -275,7 +275,7 @@ class TestEvaluateCommand:
         out = tmp_path / "e"
         args = [arg for path in maps for arg in ("--map", str(path))]
         assert main(["evaluate", "--config", str(cfg), "--out", str(out), *args]) == 2
-        assert not any(out.iterdir())
+        assert not out.exists()
         return capsys.readouterr().err
 
     def test_two_maps_with_one_stem_are_refused(self, solved, tmp_path, monkeypatch, capsys):
@@ -301,6 +301,15 @@ class TestEvaluateCommand:
             {"kind": "threshold_p", "p_bar": 0.8},
         ])
         assert "two policies are named 'threshold_p_0.8'" in err
+
+    @pytest.mark.parametrize("as_entry", [False, True], ids=["flag", "policy_entry"])
+    def test_missing_map_is_config_error(self, tmp_path, monkeypatch, capsys, as_entry):
+        missing = tmp_path / "nope.json"
+        entry = {"kind": "map", "path": str(missing), "name": "gone"}
+        err = self.refused_names(tmp_path, monkeypatch, capsys, [entry] if as_entry else [],
+                                 maps=[] if as_entry else [missing])
+        source = f"policy entry {entry}" if as_entry else "--map"
+        assert f"{source} names a map file that does not exist: {missing}" in err
 
 
 class TestSimulateCommand:
@@ -330,6 +339,35 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert all(int(r["i2"]) == 0 for r in rows)
         assert all(r["theta"] == "" for r in rows)
+
+    def test_two_pool_ground_truth_dates_the_outbreak_and_conserves(self, tmp_path):
+        """On every exact two-pool path, theta is Pool 2's first infected epoch."""
+        cfg = write_config(tmp_path, drop=("evaluate",), overrides={
+            "epidemic": {"alpha": 0.2, "pool_sizes": [300, 300]},
+            "simulate": {"x0": [280, 20, 0.0], "n_paths": 20, "horizon": 30,
+                         "two_pool": True},
+        })
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--workers", "1"]) == 0
+        with (out / "two_pool.csv").open() as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        paths = {}
+        for r in rows:
+            paths.setdefault(int(r["path"]), []).append(r)
+        assert sorted(paths) == list(range(20))
+        for path in paths.values():
+            assert [int(r["t"]) for r in path] == list(range(31))
+            i2 = [int(r["i2"]) for r in path]
+            first = next((t for t, i in enumerate(i2) if i > 0), None)
+            assert {r["theta"] for r in path} == {"" if first is None else str(first)}
+            for k in ("1", "2"):
+                s = [int(r["s" + k]) for r in path]
+                i = [int(r["i" + k]) for r in path]
+                assert all(a >= b for a, b in zip(s, s[1:]))  # S never rises
+                assert all(0 <= sk and 0 <= ik and sk + ik <= 300 for sk, ik in zip(s, i))
+        assert any(path[0]["theta"] for path in paths.values())  # Pool 2 does get infected
 
     @pytest.mark.parametrize("pool_sizes", [[2000], [2000, 2000, 2000]])
     def test_two_pool_needs_exactly_two_pools(self, tmp_path, capsys, pool_sizes):
@@ -430,6 +468,13 @@ class TestExportMap:
         assert info.value.code == 2
         assert f"argument --grid: expected at least 1, got {grid}" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
+
+    def test_missing_map_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["export-map", "--map", str(missing), "--out", str(tmp_path / "x")]) == 2
+        assert f"--map names a map file that does not exist: {missing}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_full3d_solve_and_export_columns(self, tmp_path):
         """A full3d map reads (S1, I1, P): its trace and grid files name those columns."""

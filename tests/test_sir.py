@@ -3,91 +3,83 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from epidetect import EpidemicParams, RngStream
-from epidetect.sir import (
-    MultiPoolState,
-    PoolState,
-    outbreak_time,
-    simulate_interval,
-    single_pool_interval,
-)
+from epidetect.sir import outbreak_time, simulate_interval, single_pool_interval
 
 from .sir_oracle import Channel, first_event, transition_rates
 
 
-def two_pool_state(s1, i1, s2, i2, time=0.0):
-    return MultiPoolState((PoolState(s1, i1), PoolState(s2, i2)), time)
+def two_pool_state(s1, i1, s2, i2):
+    return (s1, s2), (i1, i2)
 
 
 class TestTransitionRates:
     def test_pool1_infection_rate_hand_value(self, case_params):
         st = two_pool_state(1990, 10, 2000, 0)
-        rates = dict(transition_rates(st, case_params))
+        rates = dict(transition_rates(*st, case_params))
         assert rates[Channel("infection", 0)] == pytest.approx(7.4625, rel=1e-12)
 
     def test_cross_pool_transmission_hand_value(self, case_params):
         st = two_pool_state(1990, 10, 2000, 0)
-        rates = dict(transition_rates(st, case_params))
+        rates = dict(transition_rates(*st, case_params))
         # alpha*beta*I1*S2/M2 = 0.01*0.75*10*2000/2000
         assert rates[Channel("transmission", 1, 0)] == pytest.approx(0.075, rel=1e-12)
 
     def test_all_rates_zero_without_infecteds(self, case_params):
         st = two_pool_state(2000, 0, 2000, 0)
-        assert all(r == 0.0 for _, r in transition_rates(st, case_params))
+        assert all(r == 0.0 for _, r in transition_rates(*st, case_params))
 
     def test_rate_count_is_2k_plus_k_km1(self):
         for k in (1, 2, 3):
             params = EpidemicParams(0.5, 0.3, 0.05, tuple([100] * k))
-            st = MultiPoolState(tuple(PoolState(90, 10) for _ in range(k)))
-            assert len(transition_rates(st, params)) == 2 * k + k * (k - 1)
+            assert len(transition_rates((90,) * k, (10,) * k, params)) == 2 * k + k * (k - 1)
 
     def test_rates_nonnegative(self, case_params):
         st = two_pool_state(1200, 300, 1500, 250)
-        assert all(r >= 0.0 for _, r in transition_rates(st, case_params))
+        assert all(r >= 0.0 for _, r in transition_rates(*st, case_params))
 
 
 class TestSimulateInterval:
-    def test_zero_infection_state_only_advances_time(self, case_params):
-        st = two_pool_state(2000, 0, 2000, 0, time=3.0)
-        out = simulate_interval(st, case_params, 2.5, RngStream(1))
-        assert out.pools == st.pools
-        assert out.time == pytest.approx(5.5)
+    def test_zero_infection_returns_the_counts_without_a_draw(self, case_params):
+        st = two_pool_state(2000, 0, 2000, 0)
+        rng, untouched = RngStream(1), RngStream(1).generator
+        assert simulate_interval(*st, case_params, 2.5, rng) == st
+        assert rng.generator.random() == untouched.random()  # no draw was taken
 
     def test_duration_must_be_positive(self, case_params):
         st = two_pool_state(1990, 10, 2000, 0)
         with pytest.raises(ValueError):
-            simulate_interval(st, case_params, 0.0, RngStream(1))
+            simulate_interval(*st, case_params, 0.0, RngStream(1))
 
     def test_determinism_same_stream(self, case_params):
         st = two_pool_state(1990, 10, 2000, 0)
-        a = simulate_interval(st, case_params, 4.0, RngStream(77).derive(3))
-        b = simulate_interval(st, case_params, 4.0, RngStream(77).derive(3))
+        a = simulate_interval(*st, case_params, 4.0, RngStream(77).derive(3))
+        b = simulate_interval(*st, case_params, 4.0, RngStream(77).derive(3))
         assert a == b
 
     def test_no_infection_channel_when_beta_scaled_out(self):
         # single pool, beta tiny enough to be irrelevant is not allowed (beta > 0),
         # so emulate "no infection" with S = 0: I can only fall, S stays 0.
         params = EpidemicParams(0.75, 0.5, 0.0, (2000,))
-        st = MultiPoolState((PoolState(0, 50),))
+        s, i = (0,), (50,)
         rng = RngStream(5)
         prev_i = 50
-        state = st
         for _ in range(5):
-            state = simulate_interval(state, params, 1.0, rng)
-            assert state.pools[0].susceptible == 0
-            assert state.pools[0].infected <= prev_i
-            prev_i = state.pools[0].infected
+            s, i = simulate_interval(s, i, params, 1.0, rng)
+            assert s[0] == 0
+            assert i[0] <= prev_i
+            prev_i = i[0]
 
     def test_conservation_and_monotone_s_along_path(self, case_params):
-        state = two_pool_state(1990, 10, 2000, 0)
+        s, i = two_pool_state(1990, 10, 2000, 0)
         rng = RngStream(11)
         prev_s = (1990, 2000)
         for _ in range(10):
-            state = simulate_interval(state, case_params, 1.0, rng)
-            for k, pool in enumerate(state.pools):
-                assert pool.susceptible >= 0 and pool.infected >= 0
-                assert pool.susceptible + pool.infected <= case_params.pool_sizes[k]
-                assert pool.susceptible <= prev_s[k]
-            prev_s = tuple(p.susceptible for p in state.pools)
+            s, i = simulate_interval(s, i, case_params, 1.0, rng)
+            for k in range(2):
+                assert s[k] >= 0 and i[k] >= 0
+                assert s[k] + i[k] <= case_params.pool_sizes[k]
+                assert s[k] <= prev_s[k]
+            prev_s = s
 
     @pytest.mark.slow
     def test_mean_matches_sir_ode_oracle(self, case_params):
@@ -104,9 +96,8 @@ class TestSimulateInterval:
 
         n = 10_000
         root = RngStream(2024)
-        st = MultiPoolState((PoolState(1990, 10),))
         draws = np.array([
-            simulate_interval(st, params, 1.0, root.derive(n_)).pools[0].infected
+            simulate_interval((1990,), (10,), params, 1.0, root.derive(n_))[1][0]
             for n_ in range(n)
         ], dtype=float)
         se = draws.std(ddof=1) / np.sqrt(n)
@@ -116,8 +107,8 @@ class TestSimulateInterval:
     def test_channel_selection_frequencies_small_instance(self):
         """Empirical first-event channel frequencies vs normalized rates (M <= 4)."""
         params = EpidemicParams(beta=1.0, gamma=0.7, alpha=0.3, pool_sizes=(4, 3))
-        st = MultiPoolState((PoolState(2, 2), PoolState(2, 1)))
-        pairs = transition_rates(st, params)
+        st = ((2, 2), (2, 1))
+        pairs = transition_rates(*st, params)
         rates = np.array([r for _, r in pairs])
         probs = rates / rates.sum()
 
@@ -126,7 +117,7 @@ class TestSimulateInterval:
         index = {ch: j for j, (ch, _) in enumerate(pairs)}
         counts = np.zeros(len(pairs))
         for rep in range(n):
-            ch, _dt, _state = first_event(st, params, root.derive(rep))
+            ch, _dt, _s, _i = first_event(*st, params, root.derive(rep))
             counts[index[ch]] += 1
         freq = counts / n
         se = np.sqrt(probs * (1 - probs) / n)
@@ -138,23 +129,22 @@ class TestSimulateInterval:
             params = case_params if k_pools == 2 else EpidemicParams(
                 0.75, 0.5, 0.01, (2000,)
             )
-            pools = (PoolState(1990, 10),) if k_pools == 1 else (
-                PoolState(1990, 10), PoolState(1995, 5))
-            st = MultiPoolState(pools)
+            s, i = ((1990,), (10,)) if k_pools == 1 else ((1990, 1995), (10, 5))
             duration = 3.0
-            direct = simulate_interval(st, params, duration, RngStream(seed))
+            direct = simulate_interval(s, i, params, duration, RngStream(seed))
 
             stream = RngStream(seed)
-            state = st
+            t = 0.0
             while True:
-                nxt = first_event(state, params, stream)
+                nxt = first_event(s, i, params, stream)
                 if nxt is None:
                     break
-                _ch, _dt, new_state = nxt
-                if new_state.time > duration:
+                _ch, dt, new_s, new_i = nxt
+                t += dt
+                if t > duration:
                     break
-                state = new_state
-            assert state.pools == direct.pools
+                s, i = new_s, new_i
+            assert (s, i) == direct
 
     def test_single_pool_matches_the_reduced_kernel(self):
         """On one pool the general loop makes the kernel's draws in its order."""
@@ -167,30 +157,21 @@ class TestSimulateInterval:
             duration = float(cases.uniform(0.1, 3.0))
             params = EpidemicParams(beta=beta, gamma=gamma, alpha=0.01, pool_sizes=(m,))
             loop, kernel = RngStream(5, (n,)), RngStream(5, (n,)).generator
-            out = simulate_interval(MultiPoolState((PoolState(s, i),)), params, duration, loop)
+            (s_out,), (i_out,) = simulate_interval((s,), (i,), params, duration, loop)
             expected = single_pool_interval(s, i, m, beta, gamma, duration, kernel)
-            assert (out.pools[0].susceptible, out.pools[0].infected) == expected
+            assert (s_out, i_out) == expected
             assert loop.generator.random() == kernel.random()  # same next draw
 
 
 class TestOutbreakTime:
-    def _traj(self, i2_values):
-        return [two_pool_state(2000, 5, 2000 - i, i, time=float(t))
-                for t, i in enumerate(i2_values)]
-
     def test_first_crossing(self):
-        assert outbreak_time(self._traj([0, 0, 3, 5])) == 2
+        assert outbreak_time([0, 0, 3, 5]) == 2
 
     def test_outbreak_present_from_start(self):
-        assert outbreak_time(self._traj([4, 6, 9])) == 0
+        assert outbreak_time([4, 6, 9]) == 0
 
     def test_never_infected(self):
-        assert outbreak_time(self._traj([0, 0, 0, 0])) is None
-
-    def test_needs_two_pools(self):
-        st = MultiPoolState((PoolState(10, 1),))
-        with pytest.raises(ValueError):
-            outbreak_time([st])
+        assert outbreak_time([0, 0, 0, 0]) is None
 
 
 class TestValidation:
@@ -206,12 +187,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             EpidemicParams(beta=0.5, gamma=0.5, alpha=0.5, pool_sizes=(100,), sigma_delta=-1)
 
-    def test_pool_state_invariants(self):
-        with pytest.raises(ValueError):
-            PoolState(-1, 0)
-        assert PoolState(90, 5).recovered(100) == 5
-        with pytest.raises(ValueError):
-            PoolState(90, 20).recovered(100)
+    @pytest.mark.parametrize("s, i, message", [
+        ((-1, 2000), (0, 0), "S=-1, I=0 does not fit pool size 2000"),
+        ((1990, 2000), (10, -1), "S=2000, I=-1 does not fit pool size 2000"),
+        ((1990, 2000), (20, 1), "S=1990, I=20 does not fit pool size 2000"),
+        ((1990,), (10,), "state has 1 pools, params expect 2"),
+        ((1990, 2000, 2000), (10, 0, 0), "state has 3 pools, params expect 2"),
+        ((1990, 2000), (10,), "state has 1 pools, params expect 2"),
+    ], ids=["negative_s", "negative_i", "over_pool_size", "too_few_pools", "too_many_pools",
+            "unpaired_counts"])
+    def test_simulate_interval_rejects_impossible_state(self, case_params, s, i, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_interval(s, i, case_params, 1.0, RngStream(1))
 
     @pytest.mark.parametrize("s, i", [(2000, 10), (-1, 5), (1990, -1)])
     def test_single_pool_kernel_rejects_impossible_state(self, s, i):
