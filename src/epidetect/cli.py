@@ -130,11 +130,13 @@ def _params_match(dmap: DetectionMap, cfg: RunConfig,
 
 
 def _load_map(path, source: str) -> DetectionMap:
-    """A missing map file is a configuration error; a malformed one is not."""
+    """A missing or unreadable map file is a configuration error; a malformed one is not."""
     try:
         return DetectionMap.load(path)
     except FileNotFoundError:
         raise ConfigError(f"{source} names a map file that does not exist: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{source} names a map file that cannot be read: {exc}") from None
 
 
 def _build_policies(cfg: RunConfig, map_paths: Sequence[str],
@@ -295,7 +297,7 @@ def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
 
     grid = lattice(dmap.domain, grid_n)
     means, stderrs = dmap.surrogate.predict_many(grid)
-    # the map's own decision, which is exact on the extinct line I1 = 0
+    # the map's own decision, by the one-stage look-ahead on the extinct line I1 = 0
     announce = dmap.score_locations(grid) > 0.0
     rows = [[*(_fmt(float(v)) for v in loc), _fmt(float(mu)), _fmt(float(se)),
              _fmt(immediate_cost(float(loc[-1]), dmap.costs)), int(a)]

@@ -7,7 +7,7 @@ A run configuration is a JSON document with sections
       "variant": "full3d" | "lp2d",        # default "full3d"
       "epidemic": {...},                   # EpidemicParams
       "costs":    {...},                   # CostParams
-      "srmc":     {...},                   # SrmcConfig; "span", "degree" to LoessConfig
+      "srmc":     {...},                   # SrmcConfig; "span" to LoessConfig
       "evaluate": {"x0": [s1, i1, p], ...},  # EvaluateSettings
       "simulate": {"x0": [s1, i1, p], ...},  # SimulateSettings
       "output":   {"dir": "out"}
@@ -148,10 +148,18 @@ def _policies(value: Any) -> tuple[dict, ...]:
     return tuple(_policy(spec) for spec in value)
 
 
-def _srmc_config(master_seed: int, **knobs) -> SrmcConfig:
-    """SrmcConfig whose LoessConfig takes the `span` and `degree` knobs."""
-    loess = {key: knobs.pop(key) for key in ("span", "degree") if key in knobs}
-    return SrmcConfig(master_seed, loess=LoessConfig(**loess), **knobs)
+def _srmc_config(master_seed: int, degree: int = 1, acquisition: str = "min",
+                 **knobs) -> SrmcConfig:
+    """SrmcConfig whose LoessConfig takes the `span` knob.
+
+    The solver fits local-linear loess and weighs candidates by min(p, 1 - p)
+    only, so `degree` must be 1 and `acquisition` "min".
+    """
+    for key, value, only in (("degree", degree, 1), ("acquisition", acquisition, "min")):
+        if value != only:
+            raise ValueError(f"{key} must be {only!r}, the only supported value, got {value!r}")
+    loess = LoessConfig(knobs.pop("span")) if "span" in knobs else LoessConfig()
+    return SrmcConfig(master_seed, loess=loess, **knobs)
 
 
 # The keys each section may set, in the order their values are cast.

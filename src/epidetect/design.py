@@ -4,13 +4,12 @@ The solver grows its simulation design adaptively: candidate locations come
 from Latin hypercube sampling over the regression domain, each candidate is
 scored by the probability that the surrogate currently misclassifies the
 announce/wait sign there, and new batches are drawn multinomially in
-proportion to an acquisition weight of that probability.
+proportion to the acquisition weight min(p, 1 - p) of that probability.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -38,12 +37,6 @@ class StateBox:
     @property
     def dim(self) -> int:
         return len(self.lower)
-
-
-class AcquisitionKind(str, Enum):
-    MIN = "min"
-    GINI = "gini"
-    ENTROPY = "entropy"
 
 
 def lhs(box: StateBox, count: int, rng: RngStream) -> np.ndarray:
@@ -99,24 +92,15 @@ def boundary_probability(qhat, stderr, d):
     return p
 
 
-def acquisition_weight(p, kind: AcquisitionKind):
-    """Sampling preference for boundary probability `p`; maximal at p = 0.5.
+def acquisition_weight(p):
+    """Sampling preference min(p, 1 - p) for boundary probability `p`.
 
-    MIN: min(p, 1-p); GINI: p (1-p); ENTROPY: binary entropy with
-    0 log 0 := 0. All three vanish at p in {0, 1}. Vectorized.
+    Maximal at p = 0.5 and zero at p in {0, 1}. Vectorized.
     """
     p = np.asarray(p, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("boundary probabilities must lie in [0, 1]")
-    kind = AcquisitionKind(kind)
-    if kind is AcquisitionKind.MIN:
-        w = np.minimum(p, 1.0 - p)
-    elif kind is AcquisitionKind.GINI:
-        w = p * (1.0 - p)
-    else:
-        q = 1.0 - p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = -np.where(p > 0, p * np.log(p), 0.0) - np.where(q > 0, q * np.log(q), 0.0)
+    w = np.minimum(p, 1.0 - p)
     if w.ndim == 0:
         return float(w)
     return w

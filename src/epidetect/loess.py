@@ -1,10 +1,10 @@
-"""Local weighted polynomial regression with predictive standard errors.
+"""Local weighted linear regression with predictive standard errors.
 
 Memory-based smoother in the style of Cleveland's loess: a prediction at a
-query point fits a weighted least-squares polynomial (degree 0, 1 or 2) to
-the k = ceil(span * N) nearest data points, weighted by the tricube kernel
-w = (1 - (dist / dist_max)^3)^3 in per-coordinate standardized Euclidean
-distance. Each prediction exposes
+query point fits a weighted least-squares linear function to the
+k = max(ceil(span * N), d + 1) nearest data points, weighted by the tricube
+kernel w = (1 - (dist / dist_max)^3)^3 in per-coordinate standardized
+Euclidean distance. Each prediction exposes
 
   * the fitted mean b(x)' betahat(x),
   * the equivalent-kernel row l(x)' = b(x)' (B'WB)^{-1} B'W, whose entries
@@ -22,13 +22,13 @@ of one row):
 
   * the standardized inputs u_i are centered at their column mean c0, and
     point i carries the upper triangle of v_i v_i' with v_i = [z_i, y_i]
-    and basis row z_i = b(u_i - c0) (constant term last);
+    and basis row z_i = [u_i - c0, 1] (constant term last);
   * per block, one pass of squared distances, summed coordinate by
     coordinate over contiguous input columns, then a row-wise partition
     for the k-th distance and the tricube weights; non-members get weight 0;
   * the weighted moments [Z y]' W [Z y] come from one (1 x N)(N x m)
     product per row and move to the query-centered basis by T(c), with
-    b(u - c) = T(c) b(u) and c = x / scale - c0;
+    [u - c, 1] = T(c) [u, 1] and c = x / scale - c0;
   * a stacked Cholesky factorization of that bordered system is the
     singularity test and the solver: its last row carries the forward
     substitution of B'Wy, from which the fitted mean follows. Rows whose
@@ -52,66 +52,29 @@ _BLOCK_ENTRIES = 1 << 14  # distance entries per block (128 KiB): larger blocks 
 class LoessConfig:
     """Smoothing configuration.
 
-    span: fraction of the data in each local neighborhood, in (0, 1].
-    degree: local polynomial degree (0, 1, or 2; 2 includes cross terms).
-    min_neighbors: floor on neighborhood size; defaults to the basis size.
-    kernel: "tricube" (default) or "uniform" distance weighting.
+    span: fraction of the data in each local neighborhood, in (0, 1]; the
+    neighborhood holds at least d + 1 points, the size of the linear basis.
     """
 
     span: float = 0.4
-    degree: int = 1
-    min_neighbors: Optional[int] = None
-    kernel: str = "tricube"
 
     def __post_init__(self):
         if not 0.0 < self.span <= 1.0:
             raise ValueError(f"span must lie in (0, 1], got {self.span}")
-        if self.degree not in (0, 1, 2):
-            raise ValueError(f"degree must be 0, 1, or 2, got {self.degree}")
-        if self.kernel not in ("tricube", "uniform"):
-            raise ValueError(f"kernel must be 'tricube' or 'uniform', got {self.kernel!r}")
 
 
-def basis_size(dim: int, degree: int) -> int:
-    """Number of terms in the local polynomial basis."""
-    if degree == 0:
-        return 1
-    if degree == 1:
-        return 1 + dim
-    return 1 + dim + dim * (dim + 1) // 2
+def _basis(x_centered: np.ndarray) -> np.ndarray:
+    """Linear design matrix [x, 1] of centered rows; the last column is 1."""
+    return np.column_stack([x_centered, np.ones(x_centered.shape[0])])
 
 
-def _basis(x_centered: np.ndarray, degree: int) -> np.ndarray:
-    """Polynomial design matrix of centered rows; the last column is 1."""
-    n, d = x_centered.shape
-    cols = []
-    if degree >= 1:
-        cols.extend(x_centered[:, j] for j in range(d))
-    if degree == 2:
-        for j in range(d):
-            for l in range(j, d):
-                cols.append(x_centered[:, j] * x_centered[:, l])
-    cols.append(np.ones(n))
-    return np.column_stack(cols)
-
-
-def _shift(c: np.ndarray, degree: int) -> np.ndarray:
-    """One matrix T per row of `c` with T [b(u); y] = [b(u - c); y] for all u, y."""
+def _shift(c: np.ndarray) -> np.ndarray:
+    """One matrix T per row of `c` with T [u; 1; y] = [u - c; 1; y] for all u, y."""
     m, d = c.shape
-    r = basis_size(d, degree)
+    r = d + 1
     T = np.zeros((m, r + 1, r + 1))
     T.reshape(m, (r + 1) ** 2)[:, ::r + 2] = 1.0
-    if degree >= 1:
-        T[:, :d, r - 1] = -c
-    if degree == 2:
-        q = d
-        for j in range(d):
-            for l in range(j, d):
-                # (u_j - c_j)(u_l - c_l) = u_j u_l - c_l u_j - c_j u_l + c_j c_l
-                T[:, q, j] -= c[:, l]
-                T[:, q, l] -= c[:, j]
-                T[:, q, r - 1] = c[:, j] * c[:, l]
-                q += 1
+    T[:, :d, r - 1] = -c
     return T
 
 
@@ -157,12 +120,9 @@ class LoessModel:
         if not np.all(np.isfinite(responses)):
             raise ValueError("responses contain non-finite values")
 
-        r = basis_size(d, config.degree)
-        min_nb = config.min_neighbors if config.min_neighbors is not None else r
-        if min_nb < r:
-            raise ValueError(f"min_neighbors={min_nb} below basis size r={r}")
-        if n < min_nb:
-            raise ValueError(f"need at least {min_nb} points, got {n}")
+        r = d + 1  # basis size
+        if n < r:
+            raise ValueError(f"need at least {r} points, got {n}")
 
         scales = inputs.std(axis=0, ddof=1) if n > 1 else np.ones(d)
         scales = np.where(scales > 0, scales, 1.0)  # zero-variance coordinate: scale 1
@@ -174,13 +134,13 @@ class LoessModel:
         scaled = inputs / scales
         self._columns = scaled.T.copy()  # one contiguous row per coordinate
         self._r = r
-        self._k = min(n, max(math.ceil(config.span * n), min_nb))  # neighborhood size
+        self._k = min(n, max(math.ceil(config.span * n), r))  # neighborhood size
 
         # Moment features in a basis centered at the data's mean: column by
         # column, a weighted sum of the rows of `_features` gives the upper
         # triangle of [Z y]' W [Z y], so Z'WZ, Z'Wy and y'Wy.
         self._center = scaled.mean(axis=0)
-        self._z = _basis(scaled - self._center, config.degree)
+        self._z = _basis(scaled - self._center)
         zy = np.column_stack([self._z, responses])
         upper = np.triu_indices(r + 1)
         self._features = zy[:, upper[0]] * zy[:, upper[1]]
@@ -236,9 +196,9 @@ class LoessModel:
         np.multiply(w, w, out=cube)
         np.multiply(w, cube, out=w)
         mz = self._moments(w)
-        # uniform kernel, every neighbor at the query, or all mass on the
-        # neighborhood boundary: equal weights on the members (ties included)
-        flat = (d2max == 0.0) | (mz[:, r - 1, r - 1] <= 0.0) | (self.config.kernel == "uniform")
+        # every neighbor at the query, or all mass on the neighborhood
+        # boundary: equal weights on the members (ties included)
+        flat = (d2max == 0.0) | (mz[:, r - 1, r - 1] <= 0.0)
         if flat.any():
             w[flat] = d2[flat] <= d2max[flat, None]
             mz[flat] = self._moments(w[flat])
@@ -246,7 +206,7 @@ class LoessModel:
 
         # moments in the query-centered basis, whose constant term comes last:
         # the fitted value at x is the last coefficient
-        T = _shift(q - self._center, self.config.degree)
+        T = _shift(q - self._center)
         gram = T @ mz @ T.transpose(0, 2, 1)
         # Bordered system [[M, B'Wy], [y'WB, s]]: the last row of its Cholesky
         # factor is [u', sqrt(s - u'u)] with u = L^{-1} B'Wy, so the fitted

@@ -4,9 +4,15 @@ The solver builds one detection map per forward-time iteration t. A map is
 a loess surrogate qhat(t, .) for the costs-to-go of waiting one more stage;
 announcing is optimal wherever qhat exceeds the immediate false-alarm cost.
 The one exception is the extinct line I1 = 0, where Pool 1 has died out:
-there the sign of qhat - d is decided exactly by a one-stage look-ahead
+there the sign of qhat - d is decided by the exact one-stage look-ahead
 (`extinct_margin`) instead of by the surrogate, which would otherwise smooth
-across the extinction cliff and wait where waiting can only add cost.
+across the extinction cliff and wait where waiting can only add cost. The
+rule is exact for the one-stage problem, so only for the map of iteration
+1. With k stages left the optimum on I1 = 0 announces later: above P =
+0.0161 / 0.0231 / 0.0287 / 0.0338 / 0.0382 for k = 2 / 5 / 10 / 20 / 50 at
+the case-study parameters, against 0.0118 for the rule. A map of iteration
+t >= 2 thus announces on I1 = 0 for P between about 0.012 and the t-stage
+root, where waiting is cheaper.
 Iteration t simulates scenarios that stop at the first stage s whose state
 falls in the iteration-(t-s) announce region (with the convention that the
 iteration-0 region covers everything, so every scenario stops by stage t).
@@ -34,7 +40,6 @@ import numpy as np
 from . import parallel
 from .costs import CostParams, immediate_cost, pathwise_cost
 from .design import (
-    AcquisitionKind,
     StateBox,
     acquisition_weight,
     boundary_probability,
@@ -54,6 +59,10 @@ LABEL_DESIGN = 1
 LABEL_BATCH = 2
 
 MAP_FORMAT = "epidetect-map/1"
+# Next to the `LoessConfig` fields, the `loess` section of a map document
+# records the one fit there is, local-linear tricube loess with the basis
+# size as neighborhood floor; `from_dict` refuses any other value.
+MAP_LOESS_FIXED = {"degree": 1, "min_neighbors": None, "kernel": "tricube"}
 
 # The state coordinates a map of each variant reads, in column order. I1 is
 # always second to last and P last, which `on_extinct_line`,
@@ -63,14 +72,13 @@ MAP_COORDS = {ModelVariant.FULL3D: ("s1", "i1", "p"), ModelVariant.LP2D: ("i1", 
 
 @dataclass(frozen=True)
 class SrmcConfig:
-    """Solver knobs: design sizes, acquisition, iteration control, seed."""
+    """Solver knobs: design sizes, iteration control, seed."""
 
     master_seed: int
     n0: int = 200
     n_batch: int = 200
     n_end: int = 2000
     d_candidates: int = 2500
-    acquisition: AcquisitionKind = AcquisitionKind.MIN
     t_max: int = 20
     mpc_switch: int = 5
     tol: Optional[float] = None  # None: 0.05 * c_delay; 0: run to t_max
@@ -94,7 +102,6 @@ class SrmcConfig:
             raise ValueError(f"mpc_switch must be at least 1, got {self.mpc_switch}")
         if self.tol is not None and not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
-        object.__setattr__(self, "acquisition", AcquisitionKind(self.acquisition))
 
     @property
     def sequential(self) -> bool:
@@ -149,7 +156,7 @@ def on_extinct_line(locs):
 
 
 def extinct_margin(p, epidemic: EpidemicParams, costs: CostParams):
-    """Exact qhat - d on the extinct line I1 = 0, by one-stage look-ahead.
+    """qhat - d on the extinct line I1 = 0 by the exact one-stage look-ahead.
 
     I1 = 0 is absorbing in both variants and the drift of P vanishes there,
     so a stage of waiting costs C_Delay * P and can gain only the clamp of
@@ -157,6 +164,8 @@ def extinct_margin(p, epidemic: EpidemicParams, costs: CostParams):
     g(P) = sigma phi(P / sigma) - P Phi(-P / sigma), sigma = sigma_delta.
     Waiting one stage and then announcing therefore exceeds announcing now
     by C_Delay * P - C_FA * g(P) (plain C_Delay * P when sigma = 0).
+    That is the exact margin of the one-stage problem only; with more stages
+    left the optimum announces at a larger P (see the module docstring).
     Accepts a scalar or ndarray of P values.
     """
     margin = costs.c_delay * p
@@ -172,7 +181,9 @@ class DetectionMap:
     """Announce/wait partition induced by a fitted surrogate at one iteration.
 
     A location is announced where qhat - d > 0: the surrogate decides off
-    the extinct line, and `extinct_margin` decides exactly on I1 = 0.
+    the extinct line, and the exact one-stage look-ahead `extinct_margin`
+    decides on I1 = 0. For a map of iteration t >= 2 that rule announces on
+    I1 = 0 earlier than the t-stage optimum would.
     """
 
     def __init__(
@@ -230,7 +241,7 @@ class DetectionMap:
             "master_seed": self.master_seed,
             "epidemic": asdict(self.epidemic),
             "costs": asdict(self.costs),
-            "loess": asdict(self.surrogate.config),
+            "loess": {**asdict(self.surrogate.config), **MAP_LOESS_FIXED},
             "domain": asdict(self.domain),
             "design": {
                 "locations": self.surrogate.inputs.tolist(),
@@ -243,10 +254,15 @@ class DetectionMap:
     def from_dict(cls, doc: dict) -> "DetectionMap":
         if doc.get("format") != MAP_FORMAT:
             raise ValueError(f"unsupported map document format: {doc.get('format')!r}")
+        loess = dict(doc["loess"])
+        for key, fixed in MAP_LOESS_FIXED.items():
+            if (value := loess.pop(key, fixed)) != fixed:
+                raise ValueError(f"unsupported map loess {key} {value!r}: "
+                                 f"only {fixed!r} is fitted")
         surrogate = loess_fit(
             np.array(doc["design"]["locations"], dtype=float),
             np.array(doc["design"]["responses"], dtype=float),
-            LoessConfig(**doc["loess"]),
+            LoessConfig(**loess),
         )
         return cls(
             surrogate=surrogate,
@@ -381,11 +397,12 @@ def build_map(
     stopping costs under the maps built so far, fits the loess surrogate,
     then repeatedly scores a fresh LHS candidate set by the probability of
     sign error in qhat - d, draws n_batch new points multinomially by the
-    acquisition weight, simulates and refits, until the design holds n_end
-    points. Candidates on the extinct line I1 = 0 carry no sign error, since
-    `extinct_margin` decides them exactly. Scenario n of iteration t always
-    consumes the random stream derived from (master_seed, t, n), so results
-    do not depend on batch scheduling or worker count.
+    acquisition weight min(p, 1 - p), simulates and refits, until the design
+    holds n_end points. Candidates on the extinct line I1 = 0 carry no sign
+    error, since `extinct_margin` decides them without the surrogate.
+    Scenario n of iteration t always consumes the random stream derived from
+    (master_seed, t, n), so results do not depend on batch scheduling or
+    worker count.
     """
     variant = ModelVariant(variant)
     box = default_box(params, variant)
@@ -419,7 +436,7 @@ def build_map(
         mu, se = model.predict_many(cands[off])
         pb = np.zeros(cands.shape[0])
         pb[off] = boundary_probability(mu, se, immediate_cost(cands[off, -1], costs))
-        weights = acquisition_weight(pb, config.acquisition)
+        weights = acquisition_weight(pb)
         idx, fallback = sample_indices(
             weights, config.n_batch, root.derive(t, LABEL_BATCH, rnd)
         )

@@ -67,8 +67,10 @@ class ThresholdT:
 class MapPolicy:
     """Stationary detection-map policy: announce where qhat - d > 0.
 
-    On the extinct line I1 = 0 the map decides by its exact one-stage
-    look-ahead (`solver.extinct_margin`) rather than by the surrogate.
+    On the extinct line I1 = 0 the map decides by the exact one-stage
+    look-ahead (`solver.extinct_margin`) rather than by the surrogate. That
+    is the exact rule for a map of iteration 1 only; a map of iteration
+    t >= 2 announces there earlier than the t-stage optimum.
 
     A 2-D map (built on the large-population variant) reads only (I1, P)
     and therefore also applies to full 3-D states.

@@ -108,6 +108,18 @@ class TestSolveCommand:
         cfg2 = write_config(tmp_path, overrides={"bogus_section": {}})
         assert main(["solve", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key, value, supported", [
+        ("degree", 2, "1"), ("acquisition", "gini", "'min'"),
+    ])
+    def test_unsupported_surrogate_or_weight_is_config_error(self, tmp_path, capsys, key,
+                                                             value, supported):
+        cfg = write_config(tmp_path, overrides={"srmc": {key: value}})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid 'srmc' section: {key} must be {supported}, "
+            f"the only supported value, got {value!r}\n")
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def failing_solve(tmp_path, *flags):
         # design too small for the local basis: the solver raises at fit time
@@ -311,6 +323,17 @@ class TestEvaluateCommand:
         source = f"policy entry {entry}" if as_entry else "--map"
         assert f"{source} names a map file that does not exist: {missing}" in err
 
+    @pytest.mark.parametrize("as_entry", [False, True], ids=["flag", "policy_entry"])
+    def test_directory_as_map_is_config_error(self, tmp_path, monkeypatch, capsys, as_entry):
+        folder = tmp_path / "maps"
+        folder.mkdir()
+        entry = {"kind": "map", "path": str(folder), "name": "folder"}
+        err = self.refused_names(tmp_path, monkeypatch, capsys, [entry] if as_entry else [],
+                                 maps=[] if as_entry else [folder])
+        source = f"policy entry {entry}" if as_entry else "--map"
+        assert err.startswith(f"config error: {source} names a map file that cannot be read: ")
+        assert str(folder) in err and err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_simulate_outputs_and_determinism(self, tmp_path):
@@ -476,6 +499,15 @@ class TestExportMap:
             capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_directory_as_map_is_config_error(self, tmp_path, capsys):
+        folder = tmp_path / "maps"
+        folder.mkdir()
+        assert main(["export-map", "--map", str(folder), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --map names a map file that cannot be read: ")
+        assert str(folder) in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_full3d_solve_and_export_columns(self, tmp_path):
         """A full3d map reads (S1, I1, P): its trace and grid files name those columns."""
         cfg = write_config(tmp_path, overrides={"variant": "full3d",
@@ -518,6 +550,20 @@ class TestMapDocument:
         rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e"),
                    "--map", str(map_path), "--workers", "1"])
         assert rc == 3
+
+    @pytest.mark.parametrize("key, value", [("degree", 2), ("kernel", "uniform"),
+                                            ("min_neighbors", 3)])
+    def test_loess_other_than_local_linear_tricube_is_refused(self, tmp_path, capsys,
+                                                              key, value):
+        doc = json.loads((REPO / "out" / "quick_lp" / "maps" / "map_t08.json").read_text())
+        doc["loess"][key] = value
+        message = f"unsupported map loess {key} {value!r}: only "
+        with pytest.raises(ValueError, match=message):
+            DetectionMap.from_dict(doc)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["export-map", "--map", str(map_path), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_missing_sigma_delta_takes_the_default(self, solved, tmp_path, capsys):
         _tp, cfg, out = solved

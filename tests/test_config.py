@@ -12,7 +12,6 @@ from epidetect.config import (
     load_config,
     parse_config,
 )
-from epidetect.design import AcquisitionKind
 from epidetect.loess import LoessConfig
 from epidetect.reduced import ModelVariant, ReducedState
 from epidetect.sir import EpidemicParams
@@ -117,7 +116,11 @@ class TestValues:
         ("srmc", "degree", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("srmc", "tol", "abc", "could not convert string to float: 'abc'"),
         ("srmc", "trace_s1", "abc", "invalid literal for int() with base 10: 'abc'"),
-        ("srmc", "acquisition", "bogus", "'bogus' is not a valid AcquisitionKind"),
+        ("srmc", "acquisition", "bogus", "acquisition must be 'min', the only supported "
+                                         "value, got 'bogus'"),
+        ("srmc", "acquisition", "GINI", "acquisition must be 'min', the only supported "
+                                        "value, got 'gini'"),
+        ("srmc", "degree", 2, "degree must be 1, the only supported value, got 2"),
         ("srmc", "n_end", 100, "need 1 <= n0 <= n_end, got n0=200, n_end=100"),
         ("srmc", "span", 2, "span must lie in (0, 1], got 2.0"),
         ("evaluate", "n_paths", "abc", "invalid literal for int() with base 10: 'abc'"),
@@ -225,8 +228,8 @@ class TestAccepted:
         doc = with_("epidemic", beta="0.75", pool_sizes=["2000", 2000], sigma_delta="0.01")
         doc["costs"] = {"c_fa": "20", "c_delay": "1.0"}
         doc["srmc"] = {"n0": "100", "n_batch": "50", "n_end": "200", "d_candidates": "300",
-                       "acquisition": "GINI", "t_max": "4", "mpc_switch": "2",
-                       "tol": "0.5", "span": "0.3", "degree": "2", "trace_s1": "1990"}
+                       "acquisition": "MIN", "t_max": "4", "mpc_switch": "2",
+                       "tol": "0.5", "span": "0.3", "degree": "1", "trace_s1": "1990"}
         doc["evaluate"] = {"x0": ["1990", "10", "0.1"], "n_paths": "40", "horizon": "12",
                            "policies": [{"kind": "threshold_t", "t_bar": 4}]}
         doc["simulate"] = {"x0": [1995, 5, "0"], "n_paths": "2", "horizon": "7",
@@ -236,8 +239,7 @@ class TestAccepted:
         assert cfg.costs.c_fa == 20.0 and cfg.costs.c_delay == 1.0
         assert cfg.srmc == SrmcConfig(
             master_seed=5, n0=100, n_batch=50, n_end=200, d_candidates=300,
-            acquisition=AcquisitionKind.GINI, t_max=4, mpc_switch=2, tol=0.5,
-            loess=LoessConfig(span=0.3, degree=2), trace_s1=1990,
+            t_max=4, mpc_switch=2, tol=0.5, loess=LoessConfig(span=0.3), trace_s1=1990,
         )
         assert cfg.evaluate == EvaluateSettings(
             ReducedState(1990, 10, 0.1), 40, 12, ({"kind": "threshold_t", "t_bar": 4},))

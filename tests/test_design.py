@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 from epidetect import RngStream
 from epidetect.design import (
-    AcquisitionKind,
     StateBox,
     acquisition_weight,
     boundary_probability,
@@ -110,27 +109,26 @@ class TestNormalTail:
 
 class TestAcquisitionWeight:
     def test_values_at_half(self):
-        assert acquisition_weight(0.5, AcquisitionKind.MIN) == pytest.approx(0.5)
-        assert acquisition_weight(0.5, AcquisitionKind.GINI) == pytest.approx(0.25)
-        assert acquisition_weight(0.5, AcquisitionKind.ENTROPY) == pytest.approx(math.log(2))
+        assert acquisition_weight(0.5) == 0.5
 
     def test_zero_at_certainty(self):
-        for kind in AcquisitionKind:
-            assert acquisition_weight(0.0, kind) == 0.0
-            assert acquisition_weight(1.0, kind) == 0.0
+        assert acquisition_weight(0.0) == 0.0
+        assert acquisition_weight(1.0) == 0.0
 
     def test_min_weight_definition(self):
-        assert acquisition_weight(0.2, AcquisitionKind.MIN) == pytest.approx(0.2)
+        assert acquisition_weight(0.2) == pytest.approx(0.2)
+        ps = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_array_equal(acquisition_weight(ps), np.minimum(ps, 1.0 - ps))
 
     def test_symmetry(self):
         ps = np.linspace(0.0, 1.0, 21)
-        for kind in AcquisitionKind:
-            w = acquisition_weight(ps, kind)
-            np.testing.assert_allclose(w, w[::-1], atol=1e-12)
+        w = acquisition_weight(ps)
+        np.testing.assert_allclose(w, w[::-1], atol=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            acquisition_weight(1.2, AcquisitionKind.MIN)
+        for p in (1.2, -0.1, [0.5, 1.0 + 1e-12]):
+            with pytest.raises(ValueError):
+                acquisition_weight(p)
 
 
 class TestSampleBatch:

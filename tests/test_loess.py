@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from epidetect import loess
-from epidetect.loess import LoessConfig, basis_size, fit
+from epidetect.loess import LoessConfig, fit
 
 
 def oracle_basis(X, degree):
@@ -22,13 +22,14 @@ def oracle_basis(X, degree):
     return np.column_stack(cols)
 
 
-def dense_wls_oracle(X, y, x, span, degree, min_neighbors=None, uniform=False):
+def dense_wls_oracle(X, y, x, span, degree):
     """Independent loess prediction: dense weighted least squares via pinv.
 
     Builds the full N-point weight vector (tricube on the k-nearest
-    neighborhood in standardized distance, zero elsewhere), solves the
-    uncentered normal equations with a pseudo-inverse, and returns the
-    predicted mean plus the full equivalent-kernel row.
+    neighborhood in standardized distance, zero elsewhere; equal weights on
+    the neighborhood when the tricube ones vanish), solves the uncentered
+    normal equations with a pseudo-inverse, and returns the predicted mean
+    plus the full equivalent-kernel row.
     """
     X = np.atleast_2d(np.asarray(X, float))
     y = np.asarray(y, float)
@@ -38,19 +39,18 @@ def dense_wls_oracle(X, y, x, span, degree, min_neighbors=None, uniform=False):
     scales = np.where(scales > 0, scales, 1.0)
     dist = np.sqrt((((X - x) / scales) ** 2).sum(axis=1))
 
-    r = basis_size(d, degree)
-    k = min(n, max(math.ceil(span * n), min_neighbors if min_neighbors else r))
+    B = oracle_basis(X, degree)
+    k = min(n, max(math.ceil(span * n), B.shape[1]))
     dmax = np.sort(dist)[k - 1]
     w = np.zeros(n)
     mask = dist <= dmax
-    if uniform or dmax == 0.0:
+    if dmax == 0.0:
         w[mask] = 1.0
     else:
         w[mask] = (1.0 - (dist[mask] / dmax) ** 3) ** 3
     if w.sum() == 0.0:
         w[mask] = 1.0
 
-    B = oracle_basis(X, degree)
     A = B.T @ (w[:, None] * B)
     A_inv = np.linalg.pinv(A)
     bx = oracle_basis(x[None, :], degree)[0]
@@ -63,14 +63,14 @@ class TestFitValidation:
         # r = 3 for d = 2 linear; r - 1 points must be rejected
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
-            fit(X, [1.0, 2.0], LoessConfig(span=1.0, degree=1))
+            fit(X, [1.0, 2.0], LoessConfig(span=1.0))
 
     def test_non_finite_rejected(self):
         X = np.array([[0.0], [1.0], [np.nan], [3.0]])
         with pytest.raises(ValueError):
             fit(X, [1.0, 2.0, 3.0, 4.0], LoessConfig(span=1.0))
         with pytest.raises(ValueError):
-            fit(np.array([[0.0], [1.0]]), [1.0, np.inf], LoessConfig(span=1.0, degree=0))
+            fit(np.array([[0.0], [1.0]]), [1.0, np.inf], LoessConfig(span=1.0))
         model = fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                     [1.0, 2.0, 3.0, 4.0], LoessConfig(span=1.0))
         for query in (model.predict, model.predict_mean,
@@ -100,11 +100,7 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             LoessConfig(span=0.0)
         with pytest.raises(ValueError):
-            LoessConfig(degree=3)
-        with pytest.raises(ValueError):
-            LoessConfig(kernel="boxcar")
-        with pytest.raises(ValueError):
-            fit(np.zeros((10, 2)), np.zeros(10), LoessConfig(min_neighbors=1))
+            LoessConfig(span=1.5)
 
 
 class TestExactness:
@@ -142,30 +138,16 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 50))
         d = int(rng.integers(1, 4))
-        degree = int(rng.integers(0, 3))
         span = float(rng.uniform(0.3, 1.0))
         X = rng.uniform(0, 5, size=(n, d))
         y = rng.normal(size=n) + X.sum(axis=1)
-        cfg = LoessConfig(span=span, degree=degree)
-        model = fit(X, y, cfg)
+        model = fit(X, y, LoessConfig(span=span))
         for _ in range(5):
             xq = rng.uniform(0.5, 4.5, size=d)
             pred = model.predict(xq, with_kernel=True)
-            mean_o, l_o = dense_wls_oracle(X, y, xq, span, degree)
+            mean_o, l_o = dense_wls_oracle(X, y, xq, span, 1)
             assert pred.mean == pytest.approx(mean_o, abs=1e-8)
             np.testing.assert_allclose(pred.kernel, l_o, atol=1e-8)
-
-    def test_span_one_uniform_equals_global_ols(self):
-        rng = np.random.default_rng(42)
-        X = rng.uniform(0, 2, size=(30, 2))
-        y = 1.0 + X @ [0.5, -2.0] + rng.normal(0, 0.3, 30)
-        model = fit(X, y, LoessConfig(span=1.0, degree=1, kernel="uniform"))
-        B = oracle_basis(X, 1)
-        coef, *_ = np.linalg.lstsq(B, y, rcond=None)
-        for _ in range(5):
-            xq = rng.uniform(0, 2, size=2)
-            expected = oracle_basis(xq[None, :], 1)[0] @ coef
-            assert model.predict(xq).mean == pytest.approx(expected, abs=1e-8)
 
 
 class TestPredictionProperties:
@@ -245,13 +227,12 @@ class TestBlockKernel:
             np.testing.assert_array_equal(d2, cdist(q, X / model.normalization,
                                                     "sqeuclidean"))
 
-    @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_blocks_match_row_by_row(self, degree, d, monkeypatch):
-        rng = np.random.default_rng(100 + 3 * degree + d)
+    def test_blocks_match_row_by_row(self, d, monkeypatch):
+        rng = np.random.default_rng(103 + d)
         X = rng.uniform(0, 1, size=(80, d))
         y = rng.normal(size=80) + X.sum(axis=1)
-        model = fit(X, y, LoessConfig(span=0.5, degree=degree))
+        model = fit(X, y, LoessConfig(span=0.5))
         Q = rng.uniform(-0.2, 1.2, size=(300, d))
         preds = [model.predict(q) for q in Q]
         means = np.array([p.mean for p in preds])
@@ -288,56 +269,50 @@ class TestBlockKernel:
                 assert np.all(pred.kernel[21:] == 0.0)
         np.testing.assert_array_equal(model.predict_mean_many(Q), means)
 
-    @pytest.mark.parametrize("kernel", ["tricube", "uniform"])
-    def test_uniform_kernel_and_coincident_neighbors(self, kernel):
+    def test_coincident_neighbors_get_equal_weights(self):
         rng = np.random.default_rng(21)
         X = rng.uniform(0, 1, size=(18, 2))
         X = np.vstack([X, np.repeat(X[:1], 12, axis=0)])  # 13 copies of X[0]
         y = rng.normal(size=30)
-        model = fit(X, y, LoessConfig(span=0.3, kernel=kernel))
-        Q = np.vstack([X[0], rng.uniform(0, 1, size=(20, 2)), X[0]])
+        model = fit(X, y, LoessConfig(span=0.3))
+        # the 9 nearest neighbors of X[0] and of a query next to it are all
+        # copies of X[0]: at the query every tricube weight is 1 (d2max = 0),
+        # next to it every one is 0 (all mass on the boundary)
+        near = X[0] + 1e-6
+        Q = np.vstack([X[0], rng.uniform(0, 1, size=(20, 2)), near, X[0]])
         means, stderrs = model.predict_many(Q)
         for j, q in enumerate(Q):
             pred = model.predict(q)
             assert means[j] == pred.mean == model.predict_mean(q)
             assert stderrs[j] == pred.stderr
-        # the 9 nearest neighbors all coincide with the query: equal weights
-        # on every copy, ties included
+        # both fall back to equal weights on every copy, ties included
         copies = np.all(X == X[0], axis=1)
-        pred = model.predict(X[0], with_kernel=True)
-        assert pred.mean == pytest.approx(y[copies].mean(), abs=1e-12)
-        np.testing.assert_allclose(pred.kernel[copies], 1.0 / 13, atol=1e-12)
-        assert np.all(pred.kernel[~copies] == 0.0)
-        if kernel == "uniform":  # against the oracle, away from the copies
-            distinct = fit(X[:18], y[:18], LoessConfig(span=0.3, kernel=kernel))
-            for q in Q[1:-1]:
-                mean_o, l_o = dense_wls_oracle(X[:18], y[:18], q, 0.3, 1, uniform=True)
-                pred = distinct.predict(q, with_kernel=True)
-                assert pred.mean == pytest.approx(mean_o, abs=1e-8)
-                np.testing.assert_allclose(pred.kernel, l_o, atol=1e-8)
+        for q in (X[0], near):
+            pred = model.predict(q, with_kernel=True)
+            assert pred.mean == pytest.approx(y[copies].mean(), abs=1e-12)
+            np.testing.assert_allclose(pred.kernel[copies], 1.0 / 13, atol=1e-12)
+            assert np.all(pred.kernel[~copies] == 0.0)
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_constant_responses_batch_zero_stderr(self, degree):
+    def test_constant_responses_batch_zero_stderr(self):
         rng = np.random.default_rng(16)
         X = rng.uniform(0, 1, size=(300, 3))
-        model = fit(X, np.full(300, 3.25), LoessConfig(span=0.3, degree=degree))
+        model = fit(X, np.full(300, 3.25), LoessConfig(span=0.3))
         means, stderrs = model.predict_many(rng.uniform(0, 1, size=(300, 3)))
         np.testing.assert_allclose(means, 3.25, rtol=0, atol=1e-10)
         assert np.all(stderrs <= 1e-10)
 
-    @pytest.mark.parametrize("degree", [0, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_far_queries_match_dense_wls(self, degree, d):
+    def test_far_queries_match_dense_wls(self, d):
         rng = np.random.default_rng(17 + d)
         X = rng.uniform(0, 5, size=(60, d))
         y = rng.normal(size=60) + X.sum(axis=1)
-        model = fit(X, y, LoessConfig(span=0.5, degree=degree))
+        model = fit(X, y, LoessConfig(span=0.5))
         # 50 standard deviations from the data's center, in random diagonal directions
         Q = X.mean(axis=0) + 50 * X.std(axis=0, ddof=1) * rng.choice([-1.0, 1.0], size=(6, d))
         batch_means, _ = model.predict_many(Q)
         for q, batch_mean in zip(Q, batch_means):
             pred = model.predict(q, with_kernel=True)
-            mean_o, l_o = dense_wls_oracle(X, y, q, 0.5, degree)
+            mean_o, l_o = dense_wls_oracle(X, y, q, 0.5, 1)
             assert pred.mean == batch_mean
             assert pred.mean == pytest.approx(mean_o, rel=1e-8)
             np.testing.assert_allclose(pred.kernel, l_o, rtol=0, atol=1e-8 * np.abs(l_o).max())
