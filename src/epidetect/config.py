@@ -258,6 +258,8 @@ def parse_config(
         master_seed = _integer(master_seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"master_seed must be an integer, got {master_seed!r}") from exc
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be nonnegative, got {master_seed}")
 
     variant_name = variant_override or raw.get("variant", "full3d")
     try:

@@ -8,6 +8,7 @@ enters the costs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,9 @@ class CostParams:
             raise ValueError(f"c_fa must be positive, got {self.c_fa}")
         if not self.c_delay > 0:
             raise ValueError(f"c_delay must be positive, got {self.c_delay}")
+        for name in ("c_fa", "c_delay"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def immediate_cost(p, costs: CostParams):

@@ -9,6 +9,9 @@ i.i.d. noise and is clamped to [0, 1]; P = 1 is absorbing.
 A 2-D large-population variant drops S1 and advances I1 as a linear
 birth-death (branching) process with birth rate beta * I1 and death rate
 gamma * I1, which is accurate while S1 / M1 is close to one.
+
+`step` advances plain numbers; `solver.run_scenarios` keeps the states of
+a block of paths in arrays. `ReducedState` is only the checked start state.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ class ModelVariant(str, Enum):
 
 @dataclass(frozen=True)
 class ReducedState:
-    """Detection state at one integer stage."""
+    """Checked start state of a detection path: whole counts >= 0, P in [0, 1]."""
 
     s1: int
     i1: int
@@ -37,13 +40,15 @@ class ReducedState:
     def __post_init__(self):
         if self.s1 < 0 or self.i1 < 0:
             raise ValueError(f"negative count in reduced state: {self}")
+        if self.s1 % 1 or self.i1 % 1:
+            raise ValueError(f"fractional count in reduced state: {self}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"outbreak probability must lie in [0, 1], got {self.p}")
 
 
-def drift(x: ReducedState, params: EpidemicParams) -> float:
+def drift(i1: int, p: float, params: EpidemicParams) -> float:
     """One-stage upward drift of P: alpha * beta * I1 * (1 - P)."""
-    return params.alpha * params.beta * x.i1 * (1.0 - x.p)
+    return params.alpha * params.beta * i1 * (1.0 - p)
 
 
 def _branching_unit(i: int, beta: float, gamma: float, duration: float, gen) -> int:
@@ -64,13 +69,9 @@ def _branching_unit(i: int, beta: float, gamma: float, duration: float, gen) -> 
     return i
 
 
-def step(
-    x: ReducedState,
-    params: EpidemicParams,
-    variant: ModelVariant,
-    rng: RngStream,
-) -> ReducedState:
-    """Advance the detection state by one stage (one time unit).
+def step(s1: int, i1: int, p: float, params: EpidemicParams, variant: ModelVariant,
+         rng: RngStream) -> tuple[int, int, float]:
+    """Advance the detection state (s1, i1, p) of Python ints and a float by one stage.
 
     Pool-1 counts move first (SIR kernel or branching, by variant), then P
     is updated with the drift evaluated at the incoming state:
@@ -80,21 +81,20 @@ def step(
     """
     gen = rng.generator
     if variant is ModelVariant.FULL3D:
-        s1, i1 = single_pool_interval(
-            x.s1, x.i1, params.pool_sizes[0], params.beta, params.gamma, 1.0, gen
+        s1_next, i1_next = single_pool_interval(
+            s1, i1, params.pool_sizes[0], params.beta, params.gamma, 1.0, gen
         )
     elif variant is ModelVariant.LP2D:
-        s1 = x.s1
-        i1 = _branching_unit(x.i1, params.beta, params.gamma, 1.0, gen)
+        s1_next = s1
+        i1_next = _branching_unit(i1, params.beta, params.gamma, 1.0, gen)
     else:
         raise ValueError(f"unknown model variant: {variant!r}")
 
-    if x.p == 1.0:
+    if p == 1.0:
+        return s1_next, i1_next, 1.0
+    p_next = p + drift(i1, p, params) + gen.normal(0.0, params.sigma_delta)
+    if p_next <= 0.0:
+        p_next = 0.0
+    elif p_next >= 1.0:
         p_next = 1.0
-    else:
-        p_next = x.p + drift(x, params) + gen.normal(0.0, params.sigma_delta)
-        if p_next <= 0.0:
-            p_next = 0.0
-        elif p_next >= 1.0:
-            p_next = 1.0
-    return ReducedState(s1, i1, p_next)
+    return s1_next, i1_next, p_next

@@ -15,6 +15,7 @@ exponential holding times; rates are recomputed after every event.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,6 +53,9 @@ class EpidemicParams:
             raise ValueError(f"pool_sizes must be positive integers, got {self.pool_sizes}")
         if self.sigma_delta < 0:
             raise ValueError(f"sigma_delta must be nonnegative, got {self.sigma_delta}")
+        for name in ("beta", "gamma", "sigma_delta"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def n_pools(self) -> int:

@@ -66,7 +66,7 @@ MAP_LOESS_FIXED = {"degree": 1, "min_neighbors": None, "kernel": "tricube"}
 
 # The state coordinates a map of each variant reads, in column order. I1 is
 # always second to last and P last, which `on_extinct_line`,
-# `score_locations`, `boundary_lines` and `state_from_location` rely on.
+# `score_locations`, `boundary_lines` and `build_map` rely on.
 MAP_COORDS = {ModelVariant.FULL3D: ("s1", "i1", "p"), ModelVariant.LP2D: ("i1", "p")}
 
 
@@ -119,17 +119,6 @@ def default_box(params: EpidemicParams, variant: ModelVariant) -> StateBox:
             "p": (0.0, 0.999, False)}
     lower, upper, integer = zip(*(axes[c] for c in MAP_COORDS[ModelVariant(variant)]))
     return StateBox(lower=lower, upper=upper, integer=integer)
-
-
-def state_from_location(
-    loc: np.ndarray, variant: ModelVariant, params: EpidemicParams
-) -> ReducedState:
-    """Initial detection state at a design location (S1 = M1 - I1 without an S1 axis)."""
-    m1 = params.pool_sizes[0]
-    i1, p = int(round(loc[-2])), float(loc[-1])
-    if "s1" in MAP_COORDS[ModelVariant(variant)]:
-        return ReducedState(min(int(round(loc[0])), m1 - i1), i1, p)
-    return ReducedState(max(m1 - i1, 0), i1, p)
 
 
 def draw_design(
@@ -286,7 +275,7 @@ StopRule = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.nd
 
 
 def run_scenarios(
-    starts: Sequence[ReducedState],
+    starts: tuple,
     streams: Sequence[RngStream],
     horizon: int,
     params: EpidemicParams,
@@ -295,28 +284,28 @@ def run_scenarios(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Step a block of scenarios stage by stage until each one stops.
 
-    Scenario j starts at `starts[j]` and draws only from `streams[j]`, stage
-    after stage, so its states do not depend on the block around it. After
-    each stage s < horizon, `stops` decides which of the live scenarios stop
-    at s (None: none do); the others stop at the horizon. Returns `s1`, `i1`
-    (int64) and `p` (float64), each of shape (len(starts), horizon + 1), and
+    `starts = (s1, i1, p)` holds the unchecked stage-0 counts and P, each a
+    scalar or one value per scenario. Scenario j draws only from
+    `streams[j]`, stage after stage, so its states do not depend on the
+    block around it; `step` gets them as Python numbers. After each stage
+    s < horizon, `stops` decides which of the live scenarios stop at s
+    (None: none do); the others stop at the horizon. Returns `s1`, `i1`
+    (int64) and `p` (float64), each of shape (len(streams), horizon + 1), and
     `last`, the stage at which each scenario stopped. The stages past `last`
     were never simulated: they hold -1 in the counts and NaN in `p`.
     """
-    m = len(starts)
+    m = len(streams)
     s1 = np.full((m, horizon + 1), -1, dtype=np.int64)
     i1 = np.full((m, horizon + 1), -1, dtype=np.int64)
     p = np.full((m, horizon + 1), np.nan)
     last = np.full(m, horizon, dtype=np.int64)
-    states = list(starts)
-    s1[:, 0] = [x.s1 for x in states]
-    i1[:, 0] = [x.i1 for x in states]
-    p[:, 0] = [x.p for x in states]
+    s1[:, 0], i1[:, 0], p[:, 0] = starts
+    states = list(zip(s1[:, 0].tolist(), i1[:, 0].tolist(), p[:, 0].tolist()))
     live = np.arange(m)
     for s in range(1, horizon + 1):
-        for j in live:
-            x = states[j] = step(states[j], params, variant, streams[j])
-            s1[j, s], i1[j, s], p[j, s] = x.s1, x.i1, x.p
+        for j in live.tolist():
+            x = states[j] = step(*states[j], params, variant, streams[j])
+            s1[j, s], i1[j, s], p[j, s] = x
         if s == horizon or stops is None:
             continue
         stop = stops(s, live, s1[live, s], i1[live, s], p[live, s])
@@ -328,7 +317,7 @@ def run_scenarios(
 
 
 def scenario_costs(
-    starts: Sequence[ReducedState],
+    starts: tuple,
     streams: Sequence[RngStream],
     t: int,
     maps: Sequence[DetectionMap],
@@ -345,7 +334,8 @@ def scenario_costs(
     guaranteed stop). With `mpc_switch` set and t beyond it, membership is
     instead tested against the single latest map while the stage cap s <= t
     is kept. Each stage asks its map once, for all live scenarios of the
-    block. Returns the stopping stages and the realized pathwise costs.
+    block. `starts = (s1, i1, p)` as in `run_scenarios`. Returns the
+    stopping stages and the realized pathwise costs.
     """
     if t < 1:
         raise ValueError(f"iteration t must be at least 1, got {t}")
@@ -358,7 +348,7 @@ def scenario_costs(
         return dmap.score_locations(dmap.location(s1, i1, p)) > 0.0
 
     _, _, p, taus = run_scenarios(starts, streams, t, params, variant, stops)
-    return taus, np.array([pathwise_cost(p[j], taus[j], costs) for j in range(len(starts))])
+    return taus, np.array([pathwise_cost(p[j], taus[j], costs) for j in range(len(streams))])
 
 
 def path_and_cost(
@@ -376,8 +366,8 @@ def path_and_cost(
 
     Returns (tau, realized pathwise cost).
     """
-    taus, q = scenario_costs([x0], [rng], t, maps, params, costs, variant,
-                             mpc_switch=mpc_switch)
+    taus, q = scenario_costs((x0.s1, x0.i1, x0.p), [rng], t, maps, params, costs,
+                             variant, mpc_switch=mpc_switch)
     return int(taus[0]), float(q[0])
 
 
@@ -402,7 +392,8 @@ def build_map(
     error, since `extinct_margin` decides them without the surrogate.
     Scenario n of iteration t always consumes the random stream derived from
     (master_seed, t, n), so results do not depend on batch scheduling or
-    worker count.
+    worker count. A scenario starts at its `draw_design` row (integer counts
+    within the pool), with S1 = M1 - I1 where the map has no S1 axis.
     """
     variant = ModelVariant(variant)
     box = default_box(params, variant)
@@ -410,10 +401,12 @@ def build_map(
 
     def simulate_block(locs: np.ndarray, start: int) -> np.ndarray:
         def run(lo: int, hi: int) -> np.ndarray:
-            starts = [state_from_location(loc, variant, params) for loc in locs[lo:hi]]
+            rows = locs[lo:hi]
+            i1 = rows[:, -2]
+            s1 = rows[:, 0] if "s1" in MAP_COORDS[variant] else params.pool_sizes[0] - i1
             streams = [root.derive(t, LABEL_SCENARIO, start + j) for j in range(lo, hi)]
             _taus, q = scenario_costs(
-                starts, streams, t, maps, params, costs, variant,
+                (s1, i1, rows[:, -1]), streams, t, maps, params, costs, variant,
                 mpc_switch=config.mpc_switch,
             )
             return q
@@ -470,14 +463,21 @@ def build_map(
 
 
 def lattice(box: StateBox, per_axis: int) -> np.ndarray:
-    """Rows of the lattice with `per_axis` evenly spaced values on each axis of `box`."""
+    """Rows of the lattice with `per_axis` evenly spaced values on each axis of `box`.
+
+    `box.integer` is ignored, so count axes get non-integer values too.
+    """
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
 def audit_grid(box: StateBox, variant: ModelVariant) -> np.ndarray:
-    """Fixed lattice on which surrogate convergence is measured."""
+    """Fixed lattice on which surrogate convergence is measured.
+
+    Built by `lattice`, so its I1 values, which boundary traces reuse, need
+    not be integer (8.1633 = 400 / 49 on the 2-D grid).
+    """
     return lattice(box, 20 if variant is ModelVariant.FULL3D else 50)
 
 

@@ -182,7 +182,7 @@ def simulate_paths(
     def run(lo: int, hi: int) -> list:
         stops = _announced_by_all(policies, hi - lo) if policies else None
         streams = [rng.derive(n) for n in range(lo, hi)]
-        return list(zip(*run_scenarios([x0] * (hi - lo), streams, horizon, params,
+        return list(zip(*run_scenarios((x0.s1, x0.i1, x0.p), streams, horizon, params,
                                        variant, stops)))
 
     s1, i1, p, last = zip(*parallel.indexed_map(run, n_paths, workers))

@@ -185,6 +185,26 @@ class TestSolveCommand:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "evaluate", "simulate"])
+@pytest.mark.parametrize("overrides, flags, message", [
+    ({}, ["--seed", "-1"], "master_seed must be nonnegative, got -1"),
+    ({"master_seed": -1}, [], "master_seed must be nonnegative, got -1"),
+    ({"epidemic": {"sigma_delta": math.nan}}, [], "sigma_delta must be finite, got nan"),
+    ({"epidemic": {"beta": math.inf}}, [], "beta must be finite, got inf"),
+    ({"costs": {"c_delay": math.inf}}, [], "c_delay must be finite, got inf"),
+], ids=["seed_flag", "seed_key", "nan_sigma_delta", "inf_beta", "inf_c_delay"])
+def test_bad_seed_or_non_finite_param_exits_2(tmp_path, capsys, command, overrides, flags,
+                                              message):
+    cfg = write_config(tmp_path, overrides=overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def solved(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("solved")

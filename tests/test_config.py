@@ -1,6 +1,7 @@
 """The run-config contract of `parse_config`: messages, casts and defaults."""
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,13 @@ class TestValues:
         ("simulate", "n_paths", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("simulate", "horizon", "x", "invalid literal for int() with base 10: 'x'"),
         ("srmc", "tol", float("-inf"), "tol must be nonnegative, got -inf"),
+        ("epidemic", "sigma_delta", math.nan, "sigma_delta must be finite, got nan"),
+        ("epidemic", "sigma_delta", "NaN", "sigma_delta must be finite, got nan"),
+        ("epidemic", "sigma_delta", math.inf, "sigma_delta must be finite, got inf"),
+        ("epidemic", "beta", math.inf, "beta must be finite, got inf"),
+        ("epidemic", "gamma", math.inf, "gamma must be finite, got inf"),
+        ("costs", "c_fa", math.inf, "c_fa must be finite, got inf"),
+        ("costs", "c_delay", math.inf, "c_delay must be finite, got inf"),
     ])
     def test_invalid_value(self, section, key, value, reason):
         rejects(with_(section, **{key: value}), f"invalid '{section}' section: {reason}")
@@ -215,6 +223,9 @@ class TestValues:
                 "(runs never fall back to a random seed)")
         rejects(with_(master_seed="abc"), "master_seed must be an integer, got 'abc'")
         rejects(with_(master_seed=2.9), "master_seed must be an integer, got 2.9")
+        rejects(with_(master_seed=-1), "master_seed must be nonnegative, got -1")
+        with pytest.raises(ConfigError, match="^master_seed must be nonnegative, got -3$"):
+            parse_config(with_(), seed_override=-3)
         rejects(with_(variant="bogus"), "unknown variant 'bogus'; choose 'full3d' or 'lp2d'")
         assert parse_config(with_(master_seed=...), seed_override=9).master_seed == 9
 

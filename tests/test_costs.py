@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,8 @@ class TestCostParams:
             CostParams(c_fa=0.0, c_delay=1.0)
         with pytest.raises(ValueError):
             CostParams(c_fa=10.0, c_delay=-1.0)
+
+    @pytest.mark.parametrize("key", ["c_fa", "c_delay"])
+    def test_infinite_costs_are_refused(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got inf$"):
+            CostParams(**{"c_fa": 20.0, "c_delay": 1.0, key: math.inf})

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from epidetect import (
     EpidemicParams,
@@ -9,7 +8,13 @@ from epidetect import (
     RngStream,
     simulate_paths,
 )
-from epidetect.reduced import drift, step
+from epidetect.reduced import drift
+from epidetect.reduced import step as step_counts
+
+
+def step(x: ReducedState, params, variant, rng) -> ReducedState:
+    """`reduced.step` from and to a `ReducedState`."""
+    return ReducedState(*step_counts(x.s1, x.i1, x.p, params, variant, rng))
 
 
 class FixedNoiseStream:
@@ -31,21 +36,28 @@ class FixedNoiseStream:
         return getattr(self._gen, name)
 
 
+@pytest.mark.parametrize("s1, i1", [(-1, 10), (1989.5, 10), (1990, 10.5),
+                                    (1990, float("nan"))])
+def test_start_state_counts_are_checked(s1, i1):
+    with pytest.raises(ValueError, match=r"count in reduced state: ReducedState"):
+        ReducedState(s1, i1, 0.1)
+
+
 class TestDrift:
     def test_hand_value(self, case_params):
         x = ReducedState(1990, 10, 0.1)
-        assert drift(x, case_params) == pytest.approx(0.0675, rel=1e-12)
+        assert drift(x.i1, x.p, case_params) == pytest.approx(0.0675, rel=1e-12)
 
     def test_zero_at_certainty(self, case_params):
-        assert drift(ReducedState(1990, 10, 1.0), case_params) == 0.0
+        assert drift(10, 1.0, case_params) == 0.0
 
     def test_zero_without_infecteds(self, case_params):
-        assert drift(ReducedState(2000, 0, 0.3), case_params) == 0.0
+        assert drift(0, 0.3, case_params) == 0.0
 
     def test_monotone_in_i1_and_p(self, case_params):
-        base = drift(ReducedState(1500, 50, 0.4), case_params)
-        assert drift(ReducedState(1500, 80, 0.4), case_params) > base
-        assert drift(ReducedState(1500, 50, 0.6), case_params) < base
+        base = drift(50, 0.4, case_params)
+        assert drift(80, 0.4, case_params) > base
+        assert drift(50, 0.6, case_params) < base
 
 
 class TestStep:
@@ -80,9 +92,10 @@ class TestStep:
     @pytest.mark.slow
     def test_clamped_gaussian_expectation_oracle(self):
         """Empirical mean of P' vs the censored-normal closed form."""
+        norm = pytest.importorskip("scipy.stats").norm
         params = EpidemicParams(0.75, 0.5, 0.01, (2000,), sigma_delta=0.01)
         x = ReducedState(1990, 10, 0.99)  # close to 1 so clamping binds
-        a = x.p + drift(x, params)
+        a = x.p + drift(x.i1, x.p, params)
         sigma = params.sigma_delta
 
         # E[clip(a + delta, 0, 1)] for delta ~ N(0, sigma^2)
@@ -106,7 +119,7 @@ class TestStep:
     def test_pluggable_noise(self, case_params):
         x = ReducedState(1990, 10, 0.5)
         out = step(x, case_params, ModelVariant.FULL3D, FixedNoiseStream(2, 0.25))
-        assert out.p == pytest.approx(0.5 + drift(x, case_params) + 0.25, rel=1e-14)
+        assert out.p == pytest.approx(0.5 + drift(x.i1, x.p, case_params) + 0.25, rel=1e-14)
 
     def test_clamp_to_unit_interval(self, case_params):
         x = ReducedState(1990, 10, 0.5)

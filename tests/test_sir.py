@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -186,6 +188,16 @@ class TestValidation:
             EpidemicParams(beta=0.5, gamma=0.5, alpha=0.5, pool_sizes=())
         with pytest.raises(ValueError):
             EpidemicParams(beta=0.5, gamma=0.5, alpha=0.5, pool_sizes=(100,), sigma_delta=-1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", math.inf), ("gamma", math.inf), ("sigma_delta", math.nan),
+        ("sigma_delta", math.inf),
+    ])
+    def test_non_finite_params_are_refused(self, key, value):
+        params = {"beta": 0.5, "gamma": 0.5, "alpha": 0.5, "pool_sizes": (100,),
+                  "sigma_delta": 0.01, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+            EpidemicParams(**params)
 
     @pytest.mark.parametrize("s, i, message", [
         ((-1, 2000), (0, 0), "S=-1, I=0 does not fit pool size 2000"),

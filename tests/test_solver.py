@@ -16,11 +16,12 @@ from epidetect import (
     SrmcConfig,
     solve,
 )
-from epidetect import solver
+from epidetect import reduced, simulate_paths, solver
 from epidetect.costs import pathwise_cost
 from epidetect.loess import LoessModel
 from epidetect.reduced import step
 from epidetect.solver import (
+    MAP_COORDS,
     DetectionMap,
     audit_grid,
     boundary_lines,
@@ -30,7 +31,7 @@ from epidetect.solver import (
     draw_design,
     extinct_margin,
     path_and_cost,
-    state_from_location,
+    run_scenarios,
 )
 
 NO_NOISE = EpidemicParams(0.75, 0.5, 0.01, (2000, 2000), sigma_delta=0.0)
@@ -62,7 +63,7 @@ def script_p(monkeypatch):
     def install(p_values):
         it = iter(p_values)
         monkeypatch.setattr(solver, "step",
-                            lambda x, *args, **kwargs: ReducedState(x.s1, x.i1, next(it)))
+                            lambda s1, i1, p, *args, **kwargs: (s1, i1, next(it)))
 
     return install
 
@@ -162,6 +163,17 @@ class TestPathAndCost:
             )
 
 
+def state_from_location(
+    loc: np.ndarray, variant: ModelVariant, params: EpidemicParams
+) -> ReducedState:
+    """Initial detection state at a design location (S1 = M1 - I1 without an S1 axis)."""
+    m1 = params.pool_sizes[0]
+    i1, p = int(round(loc[-2])), float(loc[-1])
+    if "s1" in MAP_COORDS[ModelVariant(variant)]:
+        return ReducedState(min(int(round(loc[0])), m1 - i1), i1, p)
+    return ReducedState(max(m1 - i1, 0), i1, p)
+
+
 class TestDesignHelpers:
     def test_default_box_case_study(self, case_params):
         box3 = default_box(case_params, ModelVariant.FULL3D)
@@ -183,6 +195,71 @@ class TestDesignHelpers:
         st = state_from_location(np.array([42.0, 0.5]), ModelVariant.LP2D, case_params)
         assert st.i1 == 42 and st.p == 0.5
         assert st.s1 + st.i1 <= 2000
+
+
+class TestScenarioStarts:
+    """Scenarios step plain counts read off the block arrays."""
+
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    def test_design_starts_equal_state_from_location(self, variant, case_params,
+                                                     case_costs, monkeypatch):
+        seen = []
+        scenario_costs = solver.scenario_costs
+
+        def spy(starts, *args, **kwargs):
+            seen.append(np.broadcast_arrays(*starts))
+            return scenario_costs(starts, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "scenario_costs", spy)
+        cfg = SrmcConfig(master_seed=808, n0=500, n_batch=1, n_end=500,
+                         d_candidates=1, t_max=1)
+        dmap = build_map(1, [], cfg, case_params, case_costs, ModelVariant(variant))
+        s1, i1, p = (np.concatenate(col) for col in zip(*seen))
+        assert dmap.surrogate.inputs.shape[0] == s1.size == 500
+        expected = [state_from_location(loc, variant, case_params)
+                    for loc in dmap.surrogate.inputs]
+        np.testing.assert_array_equal(s1, [x.s1 for x in expected])
+        np.testing.assert_array_equal(i1, [x.i1 for x in expected])
+        np.testing.assert_array_equal(p, [x.p for x in expected])
+
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    def test_scalar_starts_equal_array_starts(self, variant, case_params):
+        m, root = 40, RngStream(909)
+
+        def run(starts):
+            streams = [root.derive(j) for j in range(m)]
+            return run_scenarios(starts, streams, 12, case_params, ModelVariant(variant),
+                                 lambda s, rows, s1, i1, p: p >= 0.5)
+
+        scalar = run((1990, 10, 0.1))
+        arrays = run((np.full(m, 1990), np.full(m, 10), np.full(m, 0.1)))
+        assert np.any(scalar[3] < 12)  # some rows stop early
+        for a, b in zip(scalar, arrays):
+            np.testing.assert_array_equal(a, b)
+
+    def test_kernels_see_python_numbers(self, case_params, case_costs, monkeypatch):
+        seen = set()
+
+        def spy(owner, name, n_args):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                seen.add((name, tuple(type(a) for a in args[:n_args])))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(solver, "step", 3)
+        spy(reduced, "_branching_unit", 1)
+        spy(reduced, "single_pool_interval", 3)
+        cfg = SrmcConfig(master_seed=810, n0=40, n_batch=20, n_end=60,
+                         d_candidates=50, t_max=1)
+        for variant in ModelVariant:
+            build_map(1, [], cfg, case_params, case_costs, variant)
+            simulate_paths(ReducedState(1990, 10, 0.1), 5, 6, case_params, variant,
+                           RngStream(11))
+        assert seen == {("step", (int, int, float)), ("_branching_unit", (int,)),
+                        ("single_pool_interval", (int, int, int))}
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +352,7 @@ def reference_path_and_cost(x0, t, maps, params, costs, variant, rng, mpc_switch
     mpc = mpc_switch is not None and t > mpc_switch
     p_path, x = [x0.p], x0
     for s in range(1, t + 1):
-        x = step(x, params, variant, rng)
+        x = ReducedState(*step(x.s1, x.i1, x.p, params, variant, rng))
         p_path.append(x.p)
         if s == t or (maps[t - 2] if mpc else maps[t - s - 1]).announce(x):
             break
