@@ -270,13 +270,20 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
 
     if sim.two_pool:
         m2 = cfg.epidemic.pool_sizes[1]
-        rows = []
         root = RngStream(cfg.master_seed).derive(*SIM_TWO_POOL_STREAM)
-        for n in range(sim.n_paths):
-            stream = root.derive(n)
-            traj = [((sim.x0.s1, m2), (sim.x0.i1, 0))]  # (s, i) count pairs per epoch
-            for _ in range(sim.horizon):
-                traj.append(simulate_interval(*traj[-1], cfg.epidemic, 1.0, stream))
+
+        def ground_truth(lo: int, hi: int) -> list:
+            trajs = []
+            for n in range(lo, hi):
+                stream = root.derive(n)
+                traj = [((sim.x0.s1, m2), (sim.x0.i1, 0))]  # (s, i) count pairs per epoch
+                for _ in range(sim.horizon):
+                    traj.append(simulate_interval(*traj[-1], cfg.epidemic, 1.0, stream))
+                trajs.append(traj)
+            return trajs
+
+        rows = []
+        for n, traj in enumerate(parallel.indexed_map(ground_truth, sim.n_paths, workers)):
             theta = outbreak_time([i[1] for _s, i in traj])
             for t, ((s1, s2), (i1, i2)) in enumerate(traj):
                 rows.append([n, t, s1, i1, s2, i2, "" if theta is None else theta])

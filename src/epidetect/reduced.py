@@ -52,7 +52,11 @@ def drift(i1: int, p: float, params: EpidemicParams) -> float:
 
 
 def _branching_unit(i: int, beta: float, gamma: float, duration: float, gen) -> int:
-    """Linear birth-death process over `duration`; same draw protocol as the SIR kernel."""
+    """Linear birth-death process over `duration`.
+
+    Each event draws one scalar exponential and then one scalar uniform;
+    the SIR kernels draw theirs in chunks instead.
+    """
     t = 0.0
     next_exp = gen.standard_exponential
     next_u = gen.random

@@ -12,6 +12,15 @@ A state is plain counts, one susceptible and one infected count per pool;
 recovered counts are implicit: R(k) = M(k) - S(k) - I(k). Simulation is
 the exact stochastic simulation algorithm (Gillespie direct method) with
 exponential holding times; rates are recomputed after every event.
+
+Draw protocol of both kernels, per interval: while an event can still
+happen (the total rate is positive), the kernel takes its draws from a
+chunk, `_CHUNK` standard exponentials and then `_CHUNK` uniforms, each
+drawn in one numpy call; event k of the chunk uses exponential k for its
+holding time and uniform k to pick its channel, and a new chunk is drawn
+when one runs out. A frozen state draws nothing. The draws left in the
+last chunk when the interval ends are discarded: they are independent of
+the path, and holding times are memoryless, so the law stays exact.
 """
 from __future__ import annotations
 
@@ -20,6 +29,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .rng import RngStream
+
+# event draws per chunk: timed on the intervals of a case-study solve (2-core
+# x86-64, numpy 2.4), 64 and 128 tie, and 32 and 256 cost 5-10 % more
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -69,9 +82,10 @@ def single_pool_interval(
     """Advance one isolated SIR pool by `duration` time units.
 
     Tight kernel of the reduced detection model's Pool-1 dynamics; on one
-    pool, `simulate_interval` makes the same draws in the same order. Draw
-    protocol per event: one standard exponential for the holding time, one
-    uniform for channel selection (infection scanned before recovery).
+    pool, `simulate_interval` makes the same draws in the same order. Draws
+    follow the module's chunk protocol: a chunk is drawn only while I > 0,
+    and each event takes one exponential for its holding time and one
+    uniform for its channel (infection scanned before recovery).
     Raises ValueError unless S >= 0, I >= 0 and S + I <= M; the events keep
     that invariant, since S falls only by infection (rate 0 at S = 0), I
     falls only while I > 0, and S + I never rises.
@@ -79,19 +93,22 @@ def single_pool_interval(
     if s < 0 or i < 0 or s + i > m:
         raise ValueError(f"pool state S={s}, I={i} does not fit pool size {m}")
     t = 0.0
-    next_exp = gen.standard_exponential
-    next_u = gen.random
     while i > 0:
-        r_inf = beta * i * s / m
-        total = r_inf + gamma * i
-        t += next_exp() / total
-        if t > duration:
-            break
-        if next_u() * total < r_inf:
-            s -= 1
-            i += 1
-        else:
-            i -= 1
+        exps = gen.standard_exponential(_CHUNK).tolist()
+        us = gen.random(_CHUNK).tolist()
+        for e, u in zip(exps, us):
+            r_inf = beta * i * s / m
+            total = r_inf + gamma * i
+            t += e / total
+            if t > duration:
+                return s, i
+            if u * total < r_inf:
+                s -= 1
+                i += 1
+            else:
+                i -= 1
+                if i == 0:
+                    break
     return s, i
 
 
@@ -108,9 +125,10 @@ def simulate_interval(
     result is the pair (s, i) of count tuples after `duration`. Waiting
     times are exponential with the total rate; channels fire with
     probability proportional to their rates, each moving one individual.
-    If the total rate hits zero the remaining interval passes without
-    events or draws. Raises ValueError unless there is one count pair per
-    pool and every pool has S >= 0, I >= 0 and S + I <= M.
+    Draws follow the module's chunk protocol. If the total rate hits zero
+    the remaining interval passes without events or further draws. Raises
+    ValueError unless there is one count pair per pool and every pool has
+    S >= 0, I >= 0 and S + I <= M.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -129,10 +147,9 @@ def simulate_interval(
     n_inf = K
     n_trans = len(pairs)
 
-    next_exp = gen.standard_exponential
-    next_u = gen.random
     t = 0.0
     rates = [0.0] * (2 * K + n_trans)
+    exps, us, used = [], [], 0
     while True:
         total = 0.0
         for k in range(K):
@@ -149,10 +166,15 @@ def simulate_interval(
             total += r
         if total <= 0.0:
             break
-        t += next_exp() / total
+        if used == len(exps):
+            exps = gen.standard_exponential(_CHUNK).tolist()
+            us = gen.random(_CHUNK).tolist()
+            used = 0
+        t += exps[used] / total
         if t > duration:
             break
-        u = next_u() * total
+        u = us[used] * total
+        used += 1
         acc = 0.0
         idx = 0
         for idx in range(len(rates)):

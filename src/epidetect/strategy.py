@@ -102,7 +102,9 @@ class FrozenPaths:
     Row n of `s1`, `i1` (int64) and `p` (float64), each of shape
     (n_paths, horizon + 1), is path n at stages 0..horizon, simulated up to
     its stage `last[n]`. The stages after it were never simulated and hold
-    -1 in the counts and NaN in `p`, so a stray read shows.
+    -1 in the counts and NaN in `p`, so a stray read shows. `announced`
+    pairs each policy the paths were simulated with and the stage at which
+    it announced on each path, 0 where it had not by stage horizon - 1.
     """
 
     s1: np.ndarray
@@ -115,6 +117,7 @@ class FrozenPaths:
     params: EpidemicParams
     master_seed: int
     stream_path: tuple[int, ...]
+    announced: tuple[tuple[Policy, np.ndarray], ...] = ()
 
     @property
     def n_paths(self) -> int:
@@ -136,20 +139,22 @@ class FrozenPaths:
         )
 
 
-def _announced_by_all(policies: Sequence[Policy], size: int) -> StopRule:
+def _announced_by_all(policies: Sequence[Policy], size: int) -> tuple[StopRule, np.ndarray]:
     """Stop rule of a block of `size` paths: a path stops once every policy
-    has announced on it."""
-    waiting = np.ones((len(policies), size), dtype=bool)
+    has announced on it. Also returns the (len(policies), size) stages at
+    which each policy announced on each path, which the rule fills in; 0
+    marks a policy still waiting."""
+    announced = np.zeros((len(policies), size), dtype=np.int64)
 
     def stops(t, rows, s1, i1, p):
-        for policy, wait in zip(policies, waiting):
-            ask = np.flatnonzero(wait[rows])
+        for policy, stage in zip(policies, announced):
+            ask = np.flatnonzero(stage[rows] == 0)
             if ask.size:
                 said = policy.decide(s1[ask], i1[ask], p[ask], t)
-                wait[rows[ask[said]]] = False
-        return ~waiting[:, rows].any(axis=0)
+                stage[rows[ask[said]]] = t
+        return announced[:, rows].all(axis=0)
 
-    return stops
+    return stops, announced
 
 
 def simulate_paths(
@@ -170,7 +175,9 @@ def simulate_paths(
     `policies`, path n stops at the largest stopping stage among them
     (the horizon where one never announces), which is every stage
     `evaluate_on` reads for these policies; its stages up to there are
-    those of the full-horizon path. Without, every path runs to the horizon.
+    those of the full-horizon path, and the stage at which each policy
+    announced is kept in `announced`. Without, every path runs to the
+    horizon.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -180,12 +187,13 @@ def simulate_paths(
     policies = tuple(policies)
 
     def run(lo: int, hi: int) -> list:
-        stops = _announced_by_all(policies, hi - lo) if policies else None
+        stops, announced = _announced_by_all(policies, hi - lo)
         streams = [rng.derive(n) for n in range(lo, hi)]
         return list(zip(*run_scenarios((x0.s1, x0.i1, x0.p), streams, horizon, params,
-                                       variant, stops)))
+                                       variant, stops if policies else None),
+                        announced.T))
 
-    s1, i1, p, last = zip(*parallel.indexed_map(run, n_paths, workers))
+    s1, i1, p, last, announced = zip(*parallel.indexed_map(run, n_paths, workers))
     return FrozenPaths(
         s1=np.array(s1),
         i1=np.array(i1),
@@ -197,6 +205,7 @@ def simulate_paths(
         params=params,
         master_seed=rng.master_seed,
         stream_path=rng.path,
+        announced=tuple(zip(policies, np.array(announced).T)),
     )
 
 
@@ -238,13 +247,24 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
     The stopping stage is the first t >= 1 where the policy announces,
     force-announcing at the horizon (counted as a cap hit) if it never
     does. The policy is asked once per stage, for the paths still waiting.
+    For a policy the paths were simulated with, the stages it announced at
+    are read from `paths.announced`, and it is asked only at the horizon,
+    on the paths where it had not announced before.
     Raises `ValueError` when the policy waits on a path past its last
     simulated stage: simulate the paths with the policy among `policies`.
     """
     horizon, n_paths = paths.horizon, paths.n_paths
     tau = np.full(n_paths, horizon)
     waiting = np.ones(n_paths, dtype=bool)
-    for t in range(1, horizon + 1):
+    first = 1
+    for known, stages in paths.announced:
+        if known is policy:
+            said = stages > 0
+            tau[said] = stages[said]
+            waiting[said] = False
+            first = horizon
+            break
+    for t in range(first, horizon + 1):
         rows = np.flatnonzero(waiting)
         if rows.size == 0:
             break

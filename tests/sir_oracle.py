@@ -1,5 +1,6 @@
 """Reference SSA oracles for the tests: the K-pool reaction channels, their
-rates, and a one-event Gillespie draw.
+rates, a one-event Gillespie draw, the chunk draw protocol, and the
+scalar-draw single-pool sampler.
 
 `simulate_interval` inlines the same channel order and draw protocol for
 speed; these readable versions check it rate by rate and draw by draw.
@@ -7,6 +8,7 @@ speed; these readable versions check it rate by rate and draw by draw.
 from typing import NamedTuple, Optional, Sequence
 
 from epidetect import EpidemicParams, RngStream
+from epidetect.sir import _CHUNK
 
 
 class Channel(NamedTuple):
@@ -44,14 +46,39 @@ def transition_rates(
     return rates
 
 
+class ChunkDraws:
+    """The event draws of one interval, by the kernels' chunk protocol.
+
+    `next()` returns event k's (exponential, uniform). The first call, and
+    the first after every `_CHUNK` events, draws `_CHUNK` standard
+    exponentials and then `_CHUNK` uniforms from the generator.
+    """
+
+    def __init__(self, rng: RngStream):
+        self.gen = rng.generator
+        self.exps, self.us, self.k = (), (), 0
+
+    def next(self) -> tuple[float, float]:
+        if self.k == len(self.exps):
+            self.exps = self.gen.standard_exponential(_CHUNK)
+            self.us = self.gen.random(_CHUNK)
+            self.k = 0
+        self.k += 1
+        return float(self.exps[self.k - 1]), float(self.us[self.k - 1])
+
+
 def first_event(
-    s: Sequence[int], i: Sequence[int], params: EpidemicParams, rng: RngStream
+    s: Sequence[int], i: Sequence[int], params: EpidemicParams, rng: RngStream,
+    draws: Optional[ChunkDraws] = None,
 ) -> Optional[tuple[Channel, float, tuple[int, ...], tuple[int, ...]]]:
     """Draw the next reaction: (channel, waiting time, new s, new i).
 
-    Returns None when the total rate is zero (frozen state). Uses the same
-    draw protocol as `simulate_interval`: one standard exponential for the
-    holding time, one uniform scanned against the `transition_rates` order.
+    Returns None, drawing nothing, when the total rate is zero (frozen
+    state). Uses the same draw protocol as `simulate_interval`: the next
+    (exponential, uniform) of `draws` gives the holding time and the
+    uniform scanned against the `transition_rates` order. `draws` holds the
+    chunk of the interval in progress; the default starts a new interval
+    on `rng`.
     """
     pairs = transition_rates(s, i, params)
     total = 0.0
@@ -59,9 +86,9 @@ def first_event(
         total += r
     if total <= 0.0:
         return None
-    gen = rng.generator
-    dt = gen.standard_exponential() / total
-    u = gen.random() * total
+    e, u = (draws or ChunkDraws(rng)).next()
+    dt = e / total
+    u = u * total
     acc = 0.0
     chosen = pairs[-1][0]
     for ch, r in pairs:
@@ -76,3 +103,30 @@ def first_event(
         s[chosen.pool] -= 1
         i[chosen.pool] += 1
     return chosen, dt, tuple(s), tuple(i)
+
+
+def scalar_single_pool_interval(
+    s: int, i: int, m: int, beta: float, gamma: float, duration: float,
+    gen,
+) -> tuple[int, int]:
+    """The single-pool SSA with one scalar numpy call per draw.
+
+    The reference sampler for the chunked `single_pool_interval`: the same
+    law from a different draw protocol, one standard exponential and then
+    one uniform per event.
+    """
+    t = 0.0
+    next_exp = gen.standard_exponential
+    next_u = gen.random
+    while i > 0:
+        r_inf = beta * i * s / m
+        total = r_inf + gamma * i
+        t += next_exp() / total
+        if t > duration:
+            break
+        if next_u() * total < r_inf:
+            s -= 1
+            i += 1
+        else:
+            i -= 1
+    return s, i

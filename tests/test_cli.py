@@ -367,6 +367,28 @@ class TestSimulateCommand:
             (out_b / "trajectories.csv").read_bytes()
         assert (out_a / "two_pool.csv").read_bytes() == (out_b / "two_pool.csv").read_bytes()
 
+    def test_two_pool_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+        from epidetect import parallel
+
+        calls = []
+        indexed_map = parallel.indexed_map
+
+        def spy(fn, count, workers=1):
+            calls.append((count, workers))
+            return indexed_map(fn, count, workers)
+
+        monkeypatch.setattr(parallel, "indexed_map", spy)
+        cfg = write_config(tmp_path, overrides={
+            "simulate": {"x0": [1990, 10, 0.1], "n_paths": 40, "horizon": 6,
+                         "two_pool": True}})
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out, workers in ((out_a, "1"), (out_b, "2")):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--workers", workers]) == 0
+        assert (out_a / "two_pool.csv").read_bytes() == (out_b / "two_pool.csv").read_bytes()
+        # reduced paths, then the ground truth, each at the run's worker count
+        assert calls == [(40, 1), (40, 1), (40, 2), (40, 2)]
+
     def test_two_pool_alpha_zero_never_infects_pool2(self, tmp_path):
         cfg = write_config(
             tmp_path,

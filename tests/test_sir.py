@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from epidetect import EpidemicParams, RngStream
-from epidetect.sir import outbreak_time, simulate_interval, single_pool_interval
+from epidetect.sir import _CHUNK, outbreak_time, simulate_interval, single_pool_interval
 
-from .sir_oracle import Channel, first_event, transition_rates
+from .sir_oracle import (
+    Channel, ChunkDraws, first_event, scalar_single_pool_interval, transition_rates,
+)
 
 
 def two_pool_state(s1, i1, s2, i2):
@@ -86,6 +87,7 @@ class TestSimulateInterval:
     @pytest.mark.slow
     def test_mean_matches_sir_ode_oracle(self, case_params):
         """Mean infected after one unit vs the one-population mean-field ODE."""
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         params = EpidemicParams(0.75, 0.5, 0.01, (2000,))
         m = 2000
 
@@ -126,19 +128,24 @@ class TestSimulateInterval:
         assert np.all(np.abs(freq - probs) <= 3 * se + 1e-12), (freq, probs)
 
     def test_first_event_iteration_matches_simulate_interval(self, case_params):
-        """Iterating first_event reproduces simulate_interval draw for draw."""
-        for seed, k_pools in [(4, 2), (9, 2), (13, 1)]:
-            params = case_params if k_pools == 2 else EpidemicParams(
-                0.75, 0.5, 0.01, (2000,)
-            )
-            s, i = ((1990,), (10,)) if k_pools == 1 else ((1990, 1995), (10, 5))
+        """Iterating first_event reproduces simulate_interval draw for draw,
+        across chunk refills (the last two cases take several chunks)."""
+        one_pool = EpidemicParams(0.75, 0.5, 0.01, (2000,))
+        for seed, params, s, i, min_events in [
+            (4, case_params, (1990, 1995), (10, 5), 0),
+            (9, case_params, (1990, 1995), (10, 5), 0),
+            (13, one_pool, (1990,), (10,), 0),
+            (17, one_pool, (1100,), (900,), 2 * _CHUNK),
+            (21, case_params, (1100, 1700), (900, 300), 2 * _CHUNK),
+        ]:
             duration = 3.0
             direct = simulate_interval(s, i, params, duration, RngStream(seed))
 
             stream = RngStream(seed)
-            t = 0.0
+            draws = ChunkDraws(stream)
+            t, events = 0.0, 0
             while True:
-                nxt = first_event(s, i, params, stream)
+                nxt = first_event(s, i, params, stream, draws)
                 if nxt is None:
                     break
                 _ch, dt, new_s, new_i = nxt
@@ -146,23 +153,54 @@ class TestSimulateInterval:
                 if t > duration:
                     break
                 s, i = new_s, new_i
+                events += 1
             assert (s, i) == direct
+            assert events >= min_events
 
     def test_single_pool_matches_the_reduced_kernel(self):
         """On one pool the general loop makes the kernel's draws in its order."""
         cases = np.random.default_rng(2015)
+        random_cases = []
         for n in range(300):
             m = int(cases.integers(1, 3001))
             s = 0 if n % 10 == 0 else int(cases.integers(0, m + 1))
             i = 0 if n % 10 == 1 else int(cases.integers(0, m - s + 1))
             beta, gamma = (float(v) for v in cases.uniform(0.05, 3.0, size=2))
             duration = float(cases.uniform(0.1, 3.0))
+            random_cases.append((m, s, i, beta, gamma, duration))
+        # hundreds of events in one interval: the kernels refill their chunks
+        refills = [(2000, 1100, 900, 0.75, 0.5, 3.0), (2000, 1000, 1000, 2.5, 0.3, 3.0)]
+        for n, (m, s, i, beta, gamma, duration) in enumerate(random_cases + refills):
             params = EpidemicParams(beta=beta, gamma=gamma, alpha=0.01, pool_sizes=(m,))
             loop, kernel = RngStream(5, (n,)), RngStream(5, (n,)).generator
             (s_out,), (i_out,) = simulate_interval((s,), (i,), params, duration, loop)
             expected = single_pool_interval(s, i, m, beta, gamma, duration, kernel)
             assert (s_out, i_out) == expected
             assert loop.generator.random() == kernel.random()  # same next draw
+            if n >= len(random_cases):
+                assert 2 * (s - s_out) + i - i_out > 2 * _CHUNK  # events
+
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("s, i", [(1990, 10), (1700, 200), (1000, 900)])
+    def test_chunked_kernel_matches_the_scalar_draw_sampler(self, s, i):
+        """Two-sample KS tests of S' and I' after one unit: the chunked kernel
+        against the scalar-draw loop, from independent streams. With 8000
+        draws each side, every p-value must exceed 0.01."""
+        ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
+        n, m, beta, gamma = 8000, 2000, 0.75, 0.5
+        chunked = np.array([
+            single_pool_interval(s, i, m, beta, gamma, 1.0, RngStream(61, (k,)).generator)
+            for k in range(n)
+        ])
+        scalar = np.array([
+            scalar_single_pool_interval(s, i, m, beta, gamma, 1.0,
+                                        RngStream(62, (k,)).generator)
+            for k in range(n)
+        ])
+        for col, name in ((1, "I'"), (0, "S'")):
+            p_value = ks_2samp(chunked[:, col], scalar[:, col]).pvalue
+            assert p_value > 0.01, (name, p_value)
 
 
 class TestOutbreakTime:

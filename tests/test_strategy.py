@@ -17,7 +17,7 @@ from epidetect import (
     simulate_paths,
 )
 from epidetect.costs import pathwise_cost
-from epidetect.solver import build_map
+from epidetect.solver import DetectionMap, build_map
 from epidetect.strategy import ThresholdT
 
 
@@ -292,6 +292,43 @@ class TestDemandDrivenPaths:
             assert np.array_equal(cut.last, taus.max(axis=0))
         assert np.all(cut.last[never] == horizon)
         assert np.any(cut.last[~never] < horizon)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_evaluation_reuses_the_announce_stages(self, workers, lp_map, case_params,
+                                                   case_x0, case_costs, monkeypatch):
+        """The map is asked once per path-stage: evaluating paths simulated with
+        it asks only at the horizon, on the paths where it had not announced."""
+        rows = []
+        score = DetectionMap.score_locations
+
+        def spy(dmap, locs):
+            rows.append(len(locs))
+            return score(dmap, locs)
+
+        monkeypatch.setattr(DetectionMap, "score_locations", spy)
+        horizon = 6
+        rng = RngStream(34).derive(0, 0)
+        policies = [MapPolicy(lp_map), ThresholdP(0.8)]
+        full = simulate_paths(case_x0, 80, horizon, case_params, ModelVariant.LP2D, rng)
+        full_report = evaluate_on(policies[0], full, case_costs)
+        evaluation_rows = sum(rows)
+        assert evaluation_rows == int(np.sum(full_report.taus))
+
+        rows.clear()
+        cut = simulate_paths(case_x0, 80, horizon, case_params, ModelVariant.LP2D, rng,
+                             workers=workers, policies=policies)
+        simulation_rows = sum(rows)  # forked spans count in their own process
+        rows.clear()
+        report = evaluate_on(policies[0], cut, case_costs)
+        stages = next(st for pol, st in cut.announced if pol is policies[0])
+        waited = int(np.count_nonzero(stages == 0))
+        assert 0 < waited < cut.n_paths
+        assert rows == [waited]  # one ask, at the horizon
+        if workers == 1:
+            assert simulation_rows + waited == evaluation_rows
+        assert np.array_equal(report.taus, full_report.taus)
+        assert np.array_equal(report.costs, full_report.costs)
+        assert report.cap_hits == full_report.cap_hits
 
     def test_policy_waiting_past_the_simulated_stages_raises(self, case_params, case_x0,
                                                              case_costs):
