@@ -84,10 +84,23 @@ class RunConfig:
 
 
 def _integer(value: Any) -> int:
-    """int(value), refusing a number with a fraction (int() would truncate it)."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a boolean or a fraction (int() reads true as 1, 2.9 as 2)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _real(value: Any) -> float:
+    """float(value), refusing a boolean (float() reads true as 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _counts(value: Any) -> tuple[int, ...]:
+    if isinstance(value, str):  # not read digit by digit
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(_integer(m) for m in value)
 
 
 def _boolean(value: Any) -> bool:
@@ -101,7 +114,7 @@ def _parse_x0(value: Any, where: str, pool_size: int) -> ReducedState:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ConfigError(f"'{where}.x0' must be a 3-element list [s1, i1, p]")
     try:
-        x0 = ReducedState(_integer(value[0]), _integer(value[1]), float(value[2]))
+        x0 = ReducedState(_integer(value[0]), _integer(value[1]), _real(value[2]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{where}.x0': {exc}") from exc
     if x0.s1 + x0.i1 > pool_size:
@@ -118,7 +131,7 @@ def _nullable(cast):
 # casts; the first key is required. A threshold's cast runs its range check.
 _POLICY_CASTS: dict[str, dict] = {
     "map": {"path": str, "name": _nullable(str)},
-    "threshold_p": {"p_bar": lambda v: ThresholdP(float(v)).p_bar},
+    "threshold_p": {"p_bar": lambda v: ThresholdP(_real(v)).p_bar},
     "threshold_t": {"t_bar": lambda v: ThresholdT(_integer(v)).t_bar},
 }
 
@@ -165,24 +178,18 @@ def _srmc_config(master_seed: int, degree: int = 1, acquisition: str = "min",
 # The keys each section may set, in the order their values are cast.
 # `evaluate` and `simulate` also take an `x0`, checked against the pool size.
 _CASTS: dict[str, dict] = {
-    "epidemic": {"beta": float, "gamma": float, "alpha": float,
-                 "pool_sizes": lambda v: tuple(_integer(m) for m in v), "sigma_delta": float},
-    "costs": {"c_fa": float, "c_delay": float},
-    "srmc": {"span": float, "degree": _integer, "n0": _integer, "n_batch": _integer,
+    "epidemic": {"beta": _real, "gamma": _real, "alpha": _real,
+                 "pool_sizes": _counts, "sigma_delta": _real},
+    "costs": {"c_fa": _real, "c_delay": _real},
+    "srmc": {"span": _real, "degree": _integer, "n0": _integer, "n_batch": _integer,
              "n_end": _integer, "d_candidates": _integer,
              "acquisition": lambda v: str(v).lower(), "t_max": _integer,
-             "mpc_switch": _integer, "tol": _nullable(float),
+             "mpc_switch": _integer, "tol": _nullable(_real),
              "trace_s1": _nullable(_integer)},
     "evaluate": {"policies": _policies, "n_paths": _integer, "horizon": _integer},
     "simulate": {"n_paths": _integer, "horizon": _integer, "two_pool": _boolean},
+    "output": {"dir": Path},
 }
-
-
-def _object(raw: dict, name: str) -> Optional[dict]:
-    value = raw.get(name)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return value
 
 
 def _read_section(raw: dict, name: str, build, casts: dict, required: bool = False,
@@ -193,7 +200,9 @@ def _read_section(raw: dict, name: str, build, casts: dict, required: bool = Fal
     defaults, and a parameter of `build` without a default is a required key.
     An optional section that is absent, null or empty gives None.
     """
-    section = _object(raw, name)
+    section = raw.get(name)
+    if section is not None and not isinstance(section, dict):
+        raise ConfigError(f"config section '{name}' must be an object")
     if section is None and required:
         raise ConfigError(f"config is missing the required '{name}' section")
     if not section and not required:
@@ -284,10 +293,10 @@ def parse_config(
         raise ConfigError(f"'simulate.two_pool' needs exactly two pool_sizes, "
                           f"got {epidemic.n_pools}")
 
-    out_raw = _object(raw, "output") or {}
-    output_dir = Path(out_override) if out_override else Path(out_raw.get("dir", "out"))
+    output = _read_section(raw, "output", lambda dir=None: dir, _CASTS["output"])
+    output_dir = Path(out_override or output or "out")
 
-    unknown = set(raw) - {"master_seed", "variant", "output", *_CASTS}
+    unknown = set(raw) - {"master_seed", "variant", *_CASTS}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
 

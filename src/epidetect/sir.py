@@ -55,6 +55,8 @@ class EpidemicParams:
     sigma_delta: float = 0.0
 
     def __post_init__(self):
+        if len(self.pool_sizes) < 1 or any(m < 1 or m % 1 for m in self.pool_sizes):
+            raise ValueError(f"pool_sizes must be positive integers, got {self.pool_sizes}")
         object.__setattr__(self, "pool_sizes", tuple(int(m) for m in self.pool_sizes))
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
@@ -62,8 +64,6 @@ class EpidemicParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if len(self.pool_sizes) < 1 or any(m < 1 for m in self.pool_sizes):
-            raise ValueError(f"pool_sizes must be positive integers, got {self.pool_sizes}")
         if self.sigma_delta < 0:
             raise ValueError(f"sigma_delta must be nonnegative, got {self.sigma_delta}")
         for name in ("beta", "gamma", "sigma_delta"):

@@ -270,7 +270,7 @@ class DetectionMap:
 
 
 # `stops(s, rows, s1, i1, p)` gets the block rows still live after stage s
-# and their stage-s states as arrays, and returns which of them stop at s
+# (1..horizon) and their stage-s states as arrays; returns which stop at s
 StopRule = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -288,8 +288,8 @@ def run_scenarios(
     scalar or one value per scenario. Scenario j draws only from
     `streams[j]`, stage after stage, so its states do not depend on the
     block around it; `step` gets them as Python numbers. After each stage
-    s < horizon, `stops` decides which of the live scenarios stop at s
-    (None: none do); the others stop at the horizon. Returns `s1`, `i1`
+    s in 1..horizon, `stops` decides which of the live scenarios stop at s
+    (None: none do); any left stop at the horizon. Returns `s1`, `i1`
     (int64) and `p` (float64), each of shape (len(streams), horizon + 1), and
     `last`, the stage at which each scenario stopped. The stages past `last`
     were never simulated: they hold -1 in the counts and NaN in `p`.
@@ -306,7 +306,7 @@ def run_scenarios(
         for j in live.tolist():
             x = states[j] = step(*states[j], params, variant, streams[j])
             s1[j, s], i1[j, s], p[j, s] = x
-        if s == horizon or stops is None:
+        if stops is None:
             continue
         stop = stops(s, live, s1[live, s], i1[live, s], p[live, s])
         last[live[stop]] = s
@@ -330,12 +330,12 @@ def scenario_costs(
     """Simulate a block of scenarios under the iteration-t stopping rule.
 
     A scenario stops at the first stage s in 1..t whose state lies in the
-    announce region of map t - s (map 0 announces everywhere, so s = t is a
-    guaranteed stop). With `mpc_switch` set and t beyond it, membership is
-    instead tested against the single latest map while the stage cap s <= t
-    is kept. Each stage asks its map once, for all live scenarios of the
-    block. `starts = (s1, i1, p)` as in `run_scenarios`. Returns the
-    stopping stages and the realized pathwise costs.
+    announce region of map t - s; map 0 announces everywhere, so s = t stops
+    every live scenario without a query. With `mpc_switch` set and t beyond
+    it, stages s < t ask the single latest map instead. Each stage asks its
+    map once, for all live scenarios of the block. `starts = (s1, i1, p)` as
+    in `run_scenarios`. Returns the stopping stages and the realized
+    pathwise costs.
     """
     if t < 1:
         raise ValueError(f"iteration t must be at least 1, got {t}")
@@ -344,6 +344,8 @@ def scenario_costs(
     mpc = mpc_switch is not None and t > mpc_switch
 
     def stops(s, rows, s1, i1, p):
+        if s == t:
+            return np.ones(rows.size, dtype=bool)
         dmap = maps[t - 2] if mpc else maps[t - s - 1]
         return dmap.score_locations(dmap.location(s1, i1, p)) > 0.0
 

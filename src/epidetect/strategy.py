@@ -104,7 +104,7 @@ class FrozenPaths:
     its stage `last[n]`. The stages after it were never simulated and hold
     -1 in the counts and NaN in `p`, so a stray read shows. `announced`
     pairs each policy the paths were simulated with and the stage at which
-    it announced on each path, 0 where it had not by stage horizon - 1.
+    it announced on each path, 0 where it never did (a cap hit).
     """
 
     s1: np.ndarray
@@ -143,7 +143,7 @@ def _announced_by_all(policies: Sequence[Policy], size: int) -> tuple[StopRule, 
     """Stop rule of a block of `size` paths: a path stops once every policy
     has announced on it. Also returns the (len(policies), size) stages at
     which each policy announced on each path, which the rule fills in; 0
-    marks a policy still waiting."""
+    marks a policy still waiting (past the horizon, a cap hit)."""
     announced = np.zeros((len(policies), size), dtype=np.int64)
 
     def stops(t, rows, s1, i1, p):
@@ -173,11 +173,10 @@ def simulate_paths(
     Path n draws from `rng.derive(n)`, so the set is reproducible for any
     worker count and paths can be regenerated individually. With
     `policies`, path n stops at the largest stopping stage among them
-    (the horizon where one never announces), which is every stage
-    `evaluate_on` reads for these policies; its stages up to there are
-    those of the full-horizon path, and the stage at which each policy
-    announced is kept in `announced`. Without, every path runs to the
-    horizon.
+    (the horizon where one never announces); its stages up to there are
+    those of the full-horizon path, and `announced` records the stage at
+    which each policy announced (0 for a cap hit), so `evaluate_on` asks it
+    nothing more. Without, every path runs to the horizon.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -246,38 +245,26 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
 
     The stopping stage is the first t >= 1 where the policy announces,
     force-announcing at the horizon (counted as a cap hit) if it never
-    does. The policy is asked once per stage, for the paths still waiting.
-    For a policy the paths were simulated with, the stages it announced at
-    are read from `paths.announced`, and it is asked only at the horizon,
-    on the paths where it had not announced before.
-    Raises `ValueError` when the policy waits on a path past its last
-    simulated stage: simulate the paths with the policy among `policies`.
+    does. The stages of a policy the paths were simulated with are read
+    from `paths.announced`; any other is asked by the same stop rule, once
+    per stage for the paths still waiting. Raises `ValueError` when it waits
+    on a path past its last simulated stage: simulate the paths with the
+    policy among `policies`.
     """
     horizon, n_paths = paths.horizon, paths.n_paths
-    tau = np.full(n_paths, horizon)
-    waiting = np.ones(n_paths, dtype=bool)
-    first = 1
-    for known, stages in paths.announced:
-        if known is policy:
-            said = stages > 0
-            tau[said] = stages[said]
-            waiting[said] = False
-            first = horizon
-            break
-    for t in range(first, horizon + 1):
-        rows = np.flatnonzero(waiting)
-        if rows.size == 0:
-            break
-        short = rows[paths.last[rows] < t]
-        if short.size:
-            n = int(short[0])
-            raise ValueError(
-                f"policy {policy.name} is still waiting on path {n} at stage {t}, "
-                f"past its last simulated stage {int(paths.last[n])}"
-            )
-        stop = rows[policy.decide(paths.s1[rows, t], paths.i1[rows, t], paths.p[rows, t], t)]
-        tau[stop] = t
-        waiting[stop] = False
+    stages = next((st for known, st in paths.announced if known is policy), None)
+    if stages is None:
+        stops, (stages,) = _announced_by_all([policy], n_paths)
+        rows = np.arange(n_paths)
+        for t in range(1, horizon + 1):
+            if (short := rows[paths.last[rows] < t]).size:
+                n = int(short[0])
+                raise ValueError(
+                    f"policy {policy.name} is still waiting on path {n} at stage {t}, "
+                    f"past its last simulated stage {int(paths.last[n])}"
+                )
+            rows = rows[~stops(t, rows, paths.s1[rows, t], paths.i1[rows, t], paths.p[rows, t])]
+    tau = np.where(stages > 0, stages, horizon)
 
     taus = tau.astype(float)
     costs_out = np.array([pathwise_cost(paths.p[n], tau[n], costs) for n in range(n_paths)])
@@ -292,7 +279,7 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
         mean_cost=float(np.mean(costs_out)),
         sd_cost=sd_cost,
         pfa=float(np.mean(1.0 - p_taus)),
-        cap_hits=int(np.count_nonzero(waiting)),
+        cap_hits=int(np.count_nonzero(stages == 0)),
         horizon=horizon,
         taus=taus,
         costs=costs_out,

@@ -205,6 +205,21 @@ def test_bad_seed_or_non_finite_param_exits_2(tmp_path, capsys, command, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "evaluate", "simulate"])
+@pytest.mark.parametrize("output, message", [
+    ({"dir": "x", "bogus": 1}, "unknown config keys in 'output': ['bogus']"),
+    ({"dir": 5}, "invalid 'output' section: expected str, bytes or os.PathLike object, "
+                 "not int"),
+], ids=["unknown_key", "dir_not_a_path"])
+def test_bad_output_section_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                       command, output, message):
+    cfg = write_config(tmp_path, overrides={"output": output})
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(cfg), "--workers", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.fixture(scope="module")
 def solved(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("solved")

@@ -91,9 +91,10 @@ class TestKeys:
         rejects(with_(section, bogus=1, other=2),
                 f"unknown config keys in '{section}': ['bogus', 'other']")
 
-    def test_output_takes_any_keys(self):
-        cfg = parse_config(with_("output", dir="somewhere", note="kept"))
-        assert cfg.output_dir == Path("somewhere")
+    def test_output_refuses_unknown_keys(self):
+        rejects(with_("output", dir="somewhere", note="kept"),
+                "unknown config keys in 'output': ['note']")
+        assert parse_config(with_("output", dir="somewhere")).output_dir == Path("somewhere")
         assert parse_config(with_("output", dir="somewhere"),
                             out_override="else").output_dir == Path("else")
 
@@ -151,6 +152,44 @@ class TestValues:
     def test_integer_keys_refuse_fractions(self, section, key, value):
         rejects(with_(section, **{key: value}),
                 f"invalid '{section}' section: expected an integer, got {value!r}")
+
+    @pytest.mark.parametrize("section, key, reason", [
+        ("costs", "c_fa", "expected a number, got True"),
+        ("epidemic", "beta", "expected a number, got False"),
+        ("srmc", "span", "expected a number, got True"),
+        ("srmc", "tol", "expected a number, got True"),
+        ("srmc", "t_max", "expected an integer, got True"),
+        ("srmc", "trace_s1", "expected an integer, got True"),
+        ("evaluate", "n_paths", "expected an integer, got True"),
+        ("epidemic", "pool_sizes", "expected a list of integers, got '22'"),
+    ])
+    def test_no_booleans_for_numbers_nor_strings_for_lists(self, section, key, reason):
+        value = {"pool_sizes": "22", "beta": False}.get(key, True)
+        rejects(with_(section, **{key: value}), f"invalid '{section}' section: {reason}")
+
+    @pytest.mark.parametrize("doc, message", [
+        (with_("epidemic", pool_sizes=[2000, True]),
+         "invalid 'epidemic' section: expected an integer, got True"),
+        (with_("evaluate", x0=[1990, True, 0.1]),
+         "invalid 'evaluate.x0': expected an integer, got True"),
+        (with_("evaluate", x0=[1990, 10, True]),
+         "invalid 'evaluate.x0': expected a number, got True"),
+        (with_("evaluate", policies=[{"kind": "threshold_p", "p_bar": True}]),
+         "invalid policy entry {'kind': 'threshold_p', 'p_bar': True}: expected a number, "
+         "got True"),
+        (with_("evaluate", policies=[{"kind": "threshold_t", "t_bar": True}]),
+         "invalid policy entry {'kind': 'threshold_t', 't_bar': True}: expected an integer, "
+         "got True"),
+        (with_(master_seed=True), "master_seed must be an integer, got True"),
+    ])
+    def test_no_booleans_inside_lists_and_entries(self, doc, message):
+        rejects(doc, message)
+
+    @pytest.mark.parametrize("value", [5, None, ["out"]])
+    def test_output_dir_must_be_a_path(self, value):
+        rejects(with_("output", dir=value),
+                f"invalid 'output' section: expected str, bytes or os.PathLike object, "
+                f"not {type(value).__name__}")
 
     def test_pool_sizes_refuse_fractions(self):
         rejects(with_("epidemic", pool_sizes=[2000.5, 2000]),

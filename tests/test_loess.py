@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from epidetect import loess
 from epidetect.loess import LoessConfig, fit
@@ -212,6 +211,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_distances_match_cdist_bit_for_bit(self, d):
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
         rng = np.random.default_rng(40 + d)
         for _ in range(75):
             n = int(rng.integers(8, 200))

@@ -227,6 +227,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             EpidemicParams(beta=0.5, gamma=0.5, alpha=0.5, pool_sizes=(100,), sigma_delta=-1)
 
+    def test_pool_sizes_refuse_fractions(self):
+        with pytest.raises(ValueError, match=r"^pool_sizes must be positive integers, "
+                                             r"got \(2000.7, 1999.2\)$"):
+            EpidemicParams(beta=0.5, gamma=0.5, alpha=0.5, pool_sizes=(2000.7, 1999.2))
+        params = EpidemicParams(beta=0.5, gamma=0.5, alpha=0.5, pool_sizes=(2000.0, 1999))
+        assert params.pool_sizes == (2000, 1999)
+        assert all(type(m) is int for m in params.pool_sizes)
+
     @pytest.mark.parametrize("key, value", [
         ("beta", math.inf), ("gamma", math.inf), ("sigma_delta", math.nan),
         ("sigma_delta", math.inf),

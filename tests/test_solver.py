@@ -5,7 +5,6 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from epidetect import (
     CostParams,
@@ -260,6 +259,52 @@ class TestScenarioStarts:
                            RngStream(11))
         assert seen == {("step", (int, int, float)), ("_branching_unit", (int,)),
                         ("single_pool_interval", (int, int, int))}
+
+    def test_stop_rule_is_asked_at_every_stage(self, case_params):
+        asked = []
+
+        def never(s, rows, s1, i1, p):
+            asked.append((s, rows.tolist()))
+            return np.zeros(rows.size, dtype=bool)
+
+        streams = [RngStream(911).derive(j) for j in range(6)]
+        *_, last = run_scenarios((1990, 10, 0.1), streams, 5, case_params,
+                                 ModelVariant.LP2D, never)
+        # the horizon is an ordinary stage; rows still live there stop anyway
+        assert asked == [(s, list(range(6))) for s in range(1, 6)]
+        assert np.all(last == 5)
+
+
+class TestScenarioCostsAsks:
+    """`scenario_costs` asks map t - s at stages s < t; the cap s = t asks none."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        rows = []
+        score = DetectionMap.score_locations
+
+        def spy(dmap, locs):
+            rows.append(len(locs))
+            return score(dmap, locs)
+
+        monkeypatch.setattr(DetectionMap, "score_locations", spy)
+        return rows
+
+    def test_cap_stage_asks_no_map(self, asked, small_lp_map, case_params, case_costs):
+        dmap, _cfg = small_lp_map
+        m = 40
+        streams = [RngStream(912).derive(j) for j in range(m)]
+        taus, _ = solver.scenario_costs((1990, 10, 0.1), streams, 3, [dmap, dmap],
+                                        case_params, case_costs, ModelVariant.LP2D)
+        assert np.any(taus == 3)  # some rows were live at the cap
+        assert asked == [m, int(np.count_nonzero(taus >= 2))]  # stages 1 and 2
+
+    def test_first_iteration_asks_nothing(self, asked, case_params, case_costs):
+        streams = [RngStream(913).derive(j) for j in range(8)]
+        taus, _ = solver.scenario_costs((1990, 10, 0.1), streams, 1, [], case_params,
+                                        case_costs, ModelVariant.LP2D)
+        assert asked == []
+        assert np.all(taus == 1)
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +584,7 @@ class CrossingMap:
 
 class TestExtinctLineAndBoundaries:
     def test_extinct_margin_agrees_with_ndtr(self, case_params, case_costs):
+        ndtr = pytest.importorskip("scipy.special").ndtr
         sigma = case_params.sigma_delta
         p = np.linspace(0.0, 8.0 * sigma, 4001)
         z = p / sigma

@@ -262,12 +262,15 @@ class TestDemandDrivenPaths:
         cut = simulate_paths(case_x0, 64, 20, case_params, variant, rng,
                              workers=workers, policies=policies)
         assert cut.fingerprint() == full.fingerprint()
-        for policy in policies:
-            a = evaluate_on(policy, full, case_costs)
-            b = evaluate_on(policy, cut, case_costs)
+        assert [pol for pol, _ in cut.announced] == policies
+        for policy, stages in cut.announced:
+            a = evaluate_on(policy, full, case_costs)  # replayed on the stored stages
+            b = evaluate_on(policy, cut, case_costs)   # read off the record
             for name in ("taus", "costs", "p_taus"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (policy.name, name)
-            assert a.cap_hits == b.cap_hits
+            assert a.cap_hits == b.cap_hits == np.count_nonzero(stages == 0)
+            assert np.array_equal(np.where(stages > 0, stages, 20), a.taus), policy.name
+            assert np.all((stages >= 0) & (stages <= 20))
         assert np.all(full.last == 20)
         simulated = np.arange(21) <= cut.last[:, None]
         assert not simulated.all()   # some stages were never simulated
@@ -296,8 +299,8 @@ class TestDemandDrivenPaths:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_evaluation_reuses_the_announce_stages(self, workers, lp_map, case_params,
                                                    case_x0, case_costs, monkeypatch):
-        """The map is asked once per path-stage: evaluating paths simulated with
-        it asks only at the horizon, on the paths where it had not announced."""
+        """The map is asked once per path-stage, all of it while simulating:
+        evaluating paths simulated with it asks nothing."""
         rows = []
         score = DetectionMap.score_locations
 
@@ -320,12 +323,17 @@ class TestDemandDrivenPaths:
         simulation_rows = sum(rows)  # forked spans count in their own process
         rows.clear()
         report = evaluate_on(policies[0], cut, case_costs)
-        stages = next(st for pol, st in cut.announced if pol is policies[0])
-        waited = int(np.count_nonzero(stages == 0))
-        assert 0 < waited < cut.n_paths
-        assert rows == [waited]  # one ask, at the horizon
+        assert rows == []
         if workers == 1:
-            assert simulation_rows + waited == evaluation_rows
+            assert simulation_rows == evaluation_rows
+        # the record is the first announcing stage, and 0 exactly on cap hits
+        said = np.array([policies[0].decide(full.s1[:, t], full.i1[:, t], full.p[:, t], t)
+                         for t in range(1, horizon + 1)])
+        cap = ~said.any(axis=0)
+        assert 0 < np.count_nonzero(cap) < cut.n_paths
+        stages = next(st for pol, st in cut.announced if pol is policies[0])
+        assert np.array_equal(stages, np.where(cap, 0, said.argmax(axis=0) + 1))
+        assert report.cap_hits == np.count_nonzero(cap)
         assert np.array_equal(report.taus, full_report.taus)
         assert np.array_equal(report.costs, full_report.costs)
         assert report.cap_hits == full_report.cap_hits
