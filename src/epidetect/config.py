@@ -103,6 +103,13 @@ def _counts(value: Any) -> tuple[int, ...]:
     return tuple(_integer(m) for m in value)
 
 
+def _text(value: Any) -> str:
+    """A JSON string; str() would read 5 as "5" and ["a"] as "['a']"."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _boolean(value: Any) -> bool:
     """A JSON boolean or 0/1; any other value, the string "false" too, is refused."""
     if value not in (0, 1):
@@ -130,7 +137,7 @@ def _nullable(cast):
 # The keys each kind of policy entry may set besides "kind", with their
 # casts; the first key is required. A threshold's cast runs its range check.
 _POLICY_CASTS: dict[str, dict] = {
-    "map": {"path": str, "name": _nullable(str)},
+    "map": {"path": _text, "name": _nullable(_text)},
     "threshold_p": {"p_bar": lambda v: ThresholdP(_real(v)).p_bar},
     "threshold_t": {"t_bar": lambda v: ThresholdT(_integer(v)).t_bar},
 }

@@ -16,26 +16,54 @@ Euclidean distance. Each prediction exposes
 The model is the data: fitting stores inputs, responses and per-coordinate
 scales, plus the per-point moment features below, nothing else.
 
-Every query runs through one block kernel, `LoessModel._fit_block`, which
-fits a block of queries with array operations (a point query is a block
-of one row):
+Every query runs through one kernel, `LoessModel._fit`, at two block levels
+(a point query is a block of one row):
 
-  * the standardized inputs u_i are centered at their column mean c0, and
-    point i carries the upper triangle of v_i v_i' with v_i = [z_i, y_i]
-    and basis row z_i = [u_i - c0, 1] (constant term last);
-  * per block, one pass of squared distances, summed coordinate by
-    coordinate over contiguous input columns, then a row-wise partition
-    for the k-th distance and the tricube weights; non-members get weight 0;
-  * the weighted moments [Z y]' W [Z y] come from one (1 x N)(N x m)
-    product per row and move to the query-centered basis by T(c), with
-    [u - c, 1] = T(c) [u, 1] and c = x / scale - c0;
-  * a stacked Cholesky factorization of that bordered system is the
-    singularity test and the solver: its last row carries the forward
-    substitution of B'Wy, from which the fitted mean follows. Rows whose
-    local system is singular fall back to the weighted mean.
+  * per block of `_BLOCK_ENTRIES` distance entries, `_weigh` makes the
+    passes over the N points: squared distances, summed coordinate by
+    coordinate over contiguous input columns, a row-wise partition for the
+    k-th distance, the tricube weights (0 outside the neighborhood) and the
+    weighted moments, each from one (1 x N)(N x m) product per row;
+  * per batch of `_BATCH_ROWS` rows, `_solve` does the r x r algebra, so
+    its few dozen small array operations are paid once per batch rather
+    than once per block of 16 rows (N = 1000). The batch is bounded
+    because its arrays grow with it: one batch of 8000 rows at N = 1000
+    and d = 3 peaked at 14 MiB of traced memory against 1.4 MiB.
 
-Rows never mix: every product and reduction runs per row, so a query gets
-the same bits in any block, alone or among others.
+The fitted mean: the standardized inputs u_i are centered at their column
+mean c0, and point i carries the upper triangle of v_i v_i' with
+v_i = [z_i, y_i] and basis row z_i = [u_i - c0, 1] (constant term last).
+The moments [Z y]' W [Z y] move to the query-centered basis B by T(c), with
+[u - c, 1] = T(c) [u, 1] and c = x / scale - c0. A stacked Cholesky
+factorization of that bordered system is the singularity test and the
+solver: its last row carries the forward substitution of B'Wy, from which
+the fitted mean follows. Rows whose local system is singular fall back to
+the weighted mean.
+
+The standard error comes from moments as well (Cleveland & Grosse,
+"Computational methods for local regression", 1991), so a standard-error
+row costs a mean row plus two moment products and a neighborhood count,
+with no pass over the N points that evaluates the local fit:
+
+  * ||l||^2 = a' Z'W^2Z a with a = M^{-1} e_r in the centered basis, and
+    Z'W^2Z from the weights w^2 and the upper triangle of z z';
+  * the weighted residual sum of squares is yt'W yt - |L^{-1} B'W yt|^2,
+    with L L' = B'WB and the responses yt = y - ybar. Centering keeps the
+    two terms at the scale of the local spread of the responses, whatever
+    their offset, so their difference keeps its digits. ybar is the
+    response nearest the mean of the responses, so constant responses give
+    yt = 0, and a standard error of 0, exactly; the mean itself of n copies
+    of a value can round away from it. A singular row's sum is that of its
+    weighted mean, yt'W yt - (sum w yt)^2 / sum(w).
+
+A nearly singular local system makes a large, and the terms of a' Z'W^2Z a
+then cancel. Rows that lose more than five digits there take the explicit
+passes instead: l = w * (Z a) and the residuals y - Z beta at all N points.
+The equivalent-kernel row itself is built only on request.
+
+Rows never mix: every product runs per row, and small sums run left to
+right as elementwise operations over the rows, so a query gets the same
+bits in any block and batch, alone or among others.
 """
 from __future__ import annotations
 
@@ -46,6 +74,7 @@ from typing import Optional
 import numpy as np
 
 _BLOCK_ENTRIES = 1 << 14  # distance entries per block (128 KiB): larger blocks ran slower
+_BATCH_ROWS = 512  # rows per batch of r x r algebra: its arrays grow with the batch
 
 
 @dataclass(frozen=True)
@@ -76,6 +105,46 @@ def _shift(c: np.ndarray) -> np.ndarray:
     T.reshape(m, (r + 1) ** 2)[:, ::r + 2] = 1.0
     T[:, :d, r - 1] = -c
     return T
+
+
+def _upper_products(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upper triangle of v_i v_i' for each row v_i of `v`, one row each, and
+    the flat index that spreads a triangle over the full symmetric matrix."""
+    m = v.shape[1]
+    upper = np.triu_indices(m)
+    position = np.empty((m, m), dtype=int)  # (p, q) -> triangle column
+    position[upper] = position[upper[::-1]] = np.arange(upper[0].size)
+    return v[:, upper[0]] * v[:, upper[1]], position.ravel()
+
+
+def _padded(features: np.ndarray) -> np.ndarray:
+    """`features` with zero columns appended up to a multiple of 4 columns.
+
+    A (1 x N)(N x m) product ran about twice as fast with m a multiple of 4
+    (OpenBLAS, N = 1000: 1.6 us for m = 12 against 3.4 us for m = 10). The
+    mean's features stay unpadded, because padding moves bits of the product.
+    """
+    return np.pad(features, ((0, 0), (0, -features.shape[1] % 4)))
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two (rows, m) arrays, summed left to right.
+
+    Each step is one elementwise operation over the rows, so rows never mix.
+    """
+    out = x[:, 0] * y[:, 0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j] * y[:, j]
+    return out
+
+
+def _forward(lt: np.ndarray, x: np.ndarray) -> None:
+    """x <- L^{-1} x in place, with `lt` and `x` laid out as for `_backward`."""
+    r = lt.shape[0]
+    for i in range(r):
+        for j in range(i):
+            x[i] -= lt[i, j] * x[j]
+        x[i] /= lt[i, i]
 
 
 def _backward(lt: np.ndarray, x: np.ndarray) -> None:
@@ -141,12 +210,16 @@ class LoessModel:
         # triangle of [Z y]' W [Z y], so Z'WZ, Z'Wy and y'Wy.
         self._center = scaled.mean(axis=0)
         self._z = _basis(scaled - self._center)
-        zy = np.column_stack([self._z, responses])
-        upper = np.triu_indices(r + 1)
-        self._features = zy[:, upper[0]] * zy[:, upper[1]]
-        position = np.empty((r + 1, r + 1), dtype=int)  # (p, q) -> feature column
-        position[upper] = position[upper[::-1]] = np.arange(upper[0].size)
-        self._symmetric = position.ravel()
+        self._features, self._symmetric = _upper_products(
+            np.column_stack([self._z, responses]))
+        # The standard error's features: weighted by w^2, the upper triangle
+        # of z z' gives Z'W^2Z; weighted by w, [z yt, yt^2] gives Z'W yt and
+        # yt'W yt for the responses yt = y - ybar, centered at the response
+        # nearest their mean, so that constant responses give yt = 0 exactly.
+        zz, self._zsymmetric = _upper_products(self._z)
+        yt = responses - responses[np.abs(responses - responses.mean()).argmin()]
+        self._zz = _padded(zz)
+        self._zyt = _padded(np.column_stack([self._z * yt[:, None], yt * yt]))
 
     @property
     def n_points(self) -> int:
@@ -164,31 +237,39 @@ class LoessModel:
     def _sq_distances(self, q: np.ndarray) -> np.ndarray:
         """Squared distances from the standardized queries `q` (rows) to every point.
 
-        Summed coordinate by coordinate, ((0 + d_0^2) + d_1^2) + ..., one row
-        per query.
+        Summed coordinate by coordinate, (d_0^2 + d_1^2) + ..., one row per
+        query. Starting from d_0^2 rather than from 0 + d_0^2 changes no bit,
+        since 0 + x = x for every square x. Each coordinate of the queries is
+        first copied along its row: subtracting a broadcast column ran at
+        about twice the cost of the copy plus a contiguous subtraction.
         """
-        d2 = np.zeros((q.shape[0], self.n_points))
+        d2 = np.empty((q.shape[0], self.n_points))
         diff = np.empty_like(d2)
         for j, col in enumerate(self._columns):
-            np.subtract(q[:, j, None], col, out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(d2, diff, out=d2)
+            out = diff if j else d2
+            out[:] = q[:, j, None]
+            np.subtract(out, col, out=out)
+            np.multiply(out, out, out=out)
+            if j:
+                np.add(d2, diff, out=d2)
         return d2
 
-    def _fit_block(self, q: np.ndarray, with_se: bool, with_kernel: bool):
-        """Local fits at the standardized queries `q` (rows of one block).
+    def _weigh(self, q: np.ndarray, with_se: bool, with_kernel: bool) -> tuple:
+        """The N-point passes for the standardized queries `q` (rows of one block).
 
-        Returns the fitted means alone when `with_se` is false, else the
-        tuple (mean, stderr, kernel_norm, sigma2, degenerate), with the
-        (rows x N) equivalent-kernel rows appended when `with_kernel` is set.
+        Returns (mz,) with the moments [Z y]' W [Z y], and for standard errors
+        also (Z'W^2Z, [Z'W yt, yt'W yt], k_size), plus the (rows x N) weights
+        when `with_kernel` is set.
         """
-        b = q.shape[0]
         n, k, r = self.n_points, self._k, self._r
         d2 = self._sq_distances(q)
         d2max = d2.max(axis=1) if k == n else np.partition(d2, k - 1, axis=1)[:, k - 1]
 
         # tricube weights by products, clipped at 0 outside the neighborhood
-        w = d2 * (1.0 / np.where(d2max > 0.0, d2max, 1.0))[:, None]
+        # (the row scales are copied along their rows first, as in `_sq_distances`)
+        w = np.empty_like(d2)
+        w[:] = (1.0 / np.where(d2max > 0.0, d2max, 1.0))[:, None]
+        np.multiply(d2, w, out=w)
         cube = np.sqrt(w)
         np.multiply(cube, w, out=cube)
         np.subtract(1.0, cube, out=w)
@@ -202,8 +283,25 @@ class LoessModel:
         if flat.any():
             w[flat] = d2[flat] <= d2max[flat, None]
             mz[flat] = self._moments(w[flat])
-        sw = mz[:, r - 1, r - 1]
+        if not with_se:
+            return (mz,)
+        np.multiply(w, w, out=cube)
+        zz = (cube[:, None, :] @ self._zz)[:, 0, self._zsymmetric].reshape(-1, r, r)
+        zy = (w[:, None, :] @ self._zyt)[:, 0]
+        k_size = np.count_nonzero(d2 <= d2max[:, None], axis=1)  # boundary ties included
+        return (mz, zz, zy, k_size) + ((w,) if with_kernel else ())
 
+    def _solve(self, q: np.ndarray, with_se: bool, mz: np.ndarray, zz=None, zy=None,
+               k_size=None, w=None):
+        """The r x r algebra for the standardized queries `q` (rows of one batch).
+
+        Takes the moments of `_weigh` for the same rows. Returns the fitted
+        means alone when `with_se` is false, else the tuple (mean, stderr,
+        kernel_norm, sigma2, degenerate), with the (rows x N) equivalent-kernel
+        rows appended when the weights `w` are given.
+        """
+        b, r = q.shape[0], self._r
+        sw = mz[:, r - 1, r - 1]
         # moments in the query-centered basis, whose constant term comes last:
         # the fitted value at x is the last coefficient
         T = _shift(q - self._center)
@@ -243,36 +341,59 @@ class LoessModel:
         coef[singular] = 0.0
         coef[singular, r - 1, 0] = mean[singular]
         coef[singular, r - 1, 1] = 1.0 / sw[singular]
-        resid = self.responses - (self._z @ coef[:, :, :1])[:, :, 0]
-        kern = (self._z @ coef[:, :, 1:])[:, :, 0]
-        np.multiply(kern, w, out=kern)
-        w_resid = np.multiply(w, resid, out=w)
 
-        k_size = (d2 <= d2max[:, None]).sum(axis=1)  # boundary ties all included
+        # ||l||^2 = a' Z'W^2Z a and the residual sum of squares
+        # yt'W yt - |L^{-1} B'W yt|^2 with B'W yt = T Z'W yt
+        a = coef[:, :, 1]
+        knorm2 = _row_dot(a, np.stack([_row_dot(zz[:, p], a) for p in range(r)], 1))
+        v = (T[:, :r, :r] @ zy[:, :r, None])[:, :, 0].T.copy()  # rows last
+        _forward(lt, v)
+        ssr = zy[:, r] - _row_dot(v.T, v.T)
+        ssr[singular] = zy[singular, r] - zy[singular, r - 1] ** 2 / sw[singular]
+        # each term of a' Z'W^2Z a is at most |a_p| |a_q| sqrt(Q_pp Q_qq):
+        # rows whose sum cancels more than 5 digits of that bound take the
+        # explicit passes over the N points
+        ill = knorm2 <= 1e-5 * _row_dot(np.abs(a), np.sqrt(np.diagonal(zz, 0, 1, 2))) ** 2
+        if ill.any():
+            w_ill = self._weigh(q[ill], True, True)[-1]
+            kern = w_ill * (self._z @ a[ill, :, None])[:, :, 0]
+            resid = self.responses - (self._z @ coef[ill, :, :1])[:, :, 0]
+            knorm2[ill] = (kern[:, None, :] @ kern[:, :, None])[:, 0, 0]
+            ssr[ill] = ((w_ill * resid)[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        knorm = np.sqrt(knorm2)
         dof = 1.0 - np.where(singular, 1, r) / k_size
         sigma2 = np.zeros(b)
         pos = dof > 0
-        ssr = (w_resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
         sigma2[pos] = np.maximum(ssr[pos] / (sw[pos] * dof[pos]), 0.0)
-        knorm = np.sqrt((kern[:, None, :] @ kern[:, :, None])[:, 0, 0])
         out = (mean, np.sqrt(sigma2) * knorm, knorm, sigma2, singular)
-        return out + (kern,) if with_kernel else out
+        if w is None:
+            return out
+        return out + (np.multiply(w, (self._z @ a[:, :, None])[:, :, 0], out=w),)
 
     def _fit(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False):
-        """`_fit_block` over the rows of the 2-D array `xs`, block by block."""
+        """Local fits at the rows of the 2-D array `xs`.
+
+        Row batches of `_BATCH_ROWS` run `_weigh` block by block and then one
+        `_solve` each.
+        """
         if xs.shape[1] != self.dim:
             raise ValueError(f"queries have dimension {xs.shape[1]}, model expects {self.dim}")
         if not np.isfinite(xs).all():
             raise ValueError("queries contain non-finite values")
         q = xs / self.normalization
         rows = max(1, _BLOCK_ENTRIES // self.n_points)
-        if q.shape[0] <= rows:
-            return self._fit_block(q, with_se, with_kernel)
-        blocks = [self._fit_block(q[i:i + rows], with_se, with_kernel)
-                  for i in range(0, q.shape[0], rows)]
+        batches = []
+        for lo in range(0, q.shape[0], _BATCH_ROWS):
+            batch = q[lo:lo + _BATCH_ROWS]
+            blocks = [self._weigh(batch[i:i + rows], with_se, with_kernel)
+                      for i in range(0, batch.shape[0], rows)]
+            moments = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+            batches.append(self._solve(batch, with_se, *moments))
+        if len(batches) == 1:
+            return batches[0]
         if not with_se:
-            return np.concatenate(blocks)
-        return tuple(np.concatenate(part) for part in zip(*blocks))
+            return np.concatenate(batches)
+        return tuple(np.concatenate(part) for part in zip(*batches))
 
     def predict_mean(self, x) -> float:
         """Fitted mean at `x` without standard errors (fast path)."""

@@ -266,6 +266,8 @@ class TestEvaluateCommand:
         {"kind": "threshold_p", "p_bar": 2},
         {"kind": "threshold_t", "t_bar": "x"},
         {"kind": "threshold_p", "p_bar": 0.8, "extra": 1},
+        {"kind": "map", "path": 5, "name": True},
+        {"kind": "map", "path": ["a"]},
     ])
     def test_bad_policy_entry_is_config_error(self, tmp_path, capsys, entry):
         cfg = write_config(tmp_path, overrides={"evaluate": {"policies": [entry]}})

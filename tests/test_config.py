@@ -237,6 +237,13 @@ class TestValues:
         ({"kind": "threshold_p", "p_bar": 0.8, "extra": 1},
          "unknown keys in policy entry {'kind': 'threshold_p', 'p_bar': 0.8, 'extra': 1}: "
          "['extra']"),
+        ({"kind": "map", "path": 5}, "invalid policy entry {'kind': 'map', 'path': 5}: "
+                                     "expected a string, got 5"),
+        ({"kind": "map", "path": ["a"]}, "invalid policy entry {'kind': 'map', 'path': ['a']}: "
+                                         "expected a string, got ['a']"),
+        ({"kind": "map", "path": "m.json", "name": True},
+         "invalid policy entry {'kind': 'map', 'path': 'm.json', 'name': True}: "
+         "expected a string, got True"),
     ])
     def test_bad_policy_entry(self, entry, message):
         rejects(with_("evaluate", policies=[entry]), message)
@@ -304,6 +311,9 @@ class TestAccepted:
                                          {"kind": "threshold_t", "t_bar": 8},
                                          {"kind": "map", "path": "m.json", "name": "m"})
         assert cfg.raw["evaluate"]["policies"] == policies  # hashed as written
+        unnamed = parse_config(with_("evaluate", policies=[{"kind": "map", "path": "m.json",
+                                                            "name": None}]))
+        assert unnamed.evaluate.policies == ({"kind": "map", "path": "m.json", "name": None},)
 
     @pytest.mark.parametrize("value, flag", [(True, True), (False, False), (1, True),
                                              (0, False)])

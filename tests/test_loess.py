@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,25 +23,20 @@ def oracle_basis(X, degree):
     return np.column_stack(cols)
 
 
-def dense_wls_oracle(X, y, x, span, degree):
-    """Independent loess prediction: dense weighted least squares via pinv.
+def oracle_weights(X, x, span, degree):
+    """Tricube weights on the k-nearest neighborhood of `x`, and its members.
 
-    Builds the full N-point weight vector (tricube on the k-nearest
-    neighborhood in standardized distance, zero elsewhere; equal weights on
-    the neighborhood when the tricube ones vanish), solves the uncentered
-    normal equations with a pseudo-inverse, and returns the predicted mean
-    plus the full equivalent-kernel row.
+    Standardized distance, zero weight outside the neighborhood, equal
+    weights on the neighborhood when the tricube ones vanish.
     """
     X = np.atleast_2d(np.asarray(X, float))
-    y = np.asarray(y, float)
     x = np.asarray(x, float)
     n, d = X.shape
     scales = X.std(axis=0, ddof=1) if n > 1 else np.ones(d)
     scales = np.where(scales > 0, scales, 1.0)
     dist = np.sqrt((((X - x) / scales) ** 2).sum(axis=1))
 
-    B = oracle_basis(X, degree)
-    k = min(n, max(math.ceil(span * n), B.shape[1]))
+    k = min(n, max(math.ceil(span * n), oracle_basis(X[:1], degree).shape[1]))
     dmax = np.sort(dist)[k - 1]
     w = np.zeros(n)
     mask = dist <= dmax
@@ -49,12 +46,45 @@ def dense_wls_oracle(X, y, x, span, degree):
         w[mask] = (1.0 - (dist[mask] / dmax) ** 3) ** 3
     if w.sum() == 0.0:
         w[mask] = 1.0
+    return w, mask
 
-    A = B.T @ (w[:, None] * B)
-    A_inv = np.linalg.pinv(A)
-    bx = oracle_basis(x[None, :], degree)[0]
+
+def dense_wls_oracle(X, y, x, span, degree):
+    """Independent loess prediction: dense weighted least squares via pinv.
+
+    Builds the full N-point weight vector (`oracle_weights`), solves the
+    uncentered normal equations with a pseudo-inverse, and returns the
+    predicted mean plus the full equivalent-kernel row.
+    """
+    X = np.atleast_2d(np.asarray(X, float))
+    y = np.asarray(y, float)
+    w, _ = oracle_weights(X, x, span, degree)
+    B = oracle_basis(X, degree)
+    A_inv = np.linalg.pinv(B.T @ (w[:, None] * B))
+    bx = oracle_basis(np.asarray(x, float)[None, :], degree)[0]
     l_row = (w[:, None] * B) @ (A_inv @ bx)
     return float(bx @ A_inv @ B.T @ (w * y)), l_row
+
+
+def dense_wls_stderr(X, y, x, span):
+    """Independent local-linear standard error from explicit N-point sums.
+
+    The oracle's weights w, kernel row l and local residuals e give
+    sigma2 = sum(w e^2) / (sum(w) (1 - r / k_size)) and stderr
+    sqrt(sigma2) ||l||, with k_size the neighborhood's members. Returns
+    (stderr, ||l||, sigma2).
+    """
+    X = np.atleast_2d(np.asarray(X, float))
+    y = np.asarray(y, float)
+    w, members = oracle_weights(X, x, span, 1)
+    _, l_row = dense_wls_oracle(X, y, x, span, 1)
+    B = oracle_basis(X, 1)
+    root = np.sqrt(w)
+    beta = np.linalg.lstsq(root[:, None] * B, root * y, rcond=None)[0]
+    resid = y - B @ beta
+    sigma2 = (w @ resid ** 2) / (w.sum() * (1.0 - B.shape[1] / members.sum()))
+    knorm = float(np.linalg.norm(l_row))
+    return math.sqrt(sigma2) * knorm, knorm, float(sigma2)
 
 
 class TestFitValidation:
@@ -115,10 +145,12 @@ class TestExactness:
     def test_constant_responses_exact_with_zero_stderr(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, size=(25, 2))
-        model = fit(X, np.full(25, 3.25), LoessConfig(span=0.6))
-        pred = model.predict([0.4, 0.7])
-        assert pred.mean == pytest.approx(3.25, abs=1e-10)
-        assert pred.stderr == pytest.approx(0.0, abs=1e-10)
+        # the mean of 25 copies of 0.7 rounds away from 0.7; of 3.25 it does not
+        for value in (3.25, 0.7):
+            model = fit(X, np.full(25, value), LoessConfig(span=0.6))
+            pred = model.predict([0.4, 0.7])
+            assert pred.mean == pytest.approx(value, abs=1e-10)
+            assert pred.stderr == 0.0
 
     def test_kernel_sums_to_one(self):
         rng = np.random.default_rng(7)
@@ -147,6 +179,24 @@ class TestOracleEquivalence:
             mean_o, l_o = dense_wls_oracle(X, y, xq, span, 1)
             assert pred.mean == pytest.approx(mean_o, abs=1e-8)
             np.testing.assert_allclose(pred.kernel, l_o, atol=1e-8)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stderr_matches_explicit_sums(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 50))
+        d = int(rng.integers(1, 4))
+        span = float(rng.uniform(0.3, 1.0))
+        X = rng.uniform(0, 5, size=(n, d))
+        y = rng.normal(size=n) + X.sum(axis=1) + offset
+        model = fit(X, y, LoessConfig(span=span))
+        Q = rng.uniform(0.5, 4.5, size=(5, d))
+        reference = np.array([dense_wls_stderr(X, y, xq, span) for xq in Q])
+        _, stderrs = model.predict_many(Q)
+        preds = [model.predict(xq) for xq in Q]
+        assert not any(p.degenerate for p in preds)
+        got = [(se, p.kernel_norm, p.local_sigma2) for se, p in zip(stderrs, preds)]
+        np.testing.assert_allclose(got, reference, rtol=1e-8, atol=0)
 
 
 class TestPredictionProperties:
@@ -233,20 +283,23 @@ class TestBlockKernel:
         X = rng.uniform(0, 1, size=(80, d))
         y = rng.normal(size=80) + X.sum(axis=1)
         model = fit(X, y, LoessConfig(span=0.5))
-        Q = rng.uniform(-0.2, 1.2, size=(300, d))
+        Q = rng.uniform(-0.2, 1.2, size=(600, d))
         preds = [model.predict(q) for q in Q]
         means = np.array([p.mean for p in preds])
         stderrs = np.array([p.stderr for p in preds])
         np.testing.assert_array_equal(means, [model.predict_mean(q) for q in Q])
-        # one row per block, 7 rows per block (the last one partial), the default
-        for entries in (80, 7 * 80, loess._BLOCK_ENTRIES):
+        # one row per block, 7 rows per block (the last one partial), the
+        # default; batches of one row, of 7 rows, the default (600 rows overrun it)
+        for entries, rows in itertools.product((80, 7 * 80, loess._BLOCK_ENTRIES),
+                                               (1, 7, loess._BATCH_ROWS)):
             monkeypatch.setattr(loess, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(loess, "_BATCH_ROWS", rows)
             batch_means, batch_stderrs = model.predict_many(Q)
             np.testing.assert_array_equal(batch_means, means)
             np.testing.assert_array_equal(batch_stderrs, stderrs)
             np.testing.assert_array_equal(model.predict_mean_many(Q), means)
 
-    def test_singular_row_among_regular_rows(self):
+    def test_singular_row_among_regular_rows(self, monkeypatch):
         # Pool A lies on x2 = 0, the exact mean of x2 (whose scale is exactly
         # 1), so its local systems are singular; pool B spreads in x2.
         x2_b = np.tile([2.0, -2.0, 0.0, 0.0], 5)
@@ -256,18 +309,39 @@ class TestBlockKernel:
         ])
         y = np.random.default_rng(14).normal(size=41)
         model = fit(X, y, LoessConfig(span=0.25))
-        Q = np.array([[110.3, -1.0], [10.0, 0.0], [104.2, 1.0], [6.5, 0.0], [113.0, -1.0]])
-        means, stderrs = model.predict_many(Q)
+        rng = np.random.default_rng(15)
+        Q = np.column_stack([rng.uniform(101.0, 118.0, 600), rng.choice([-1.0, 1.0], 600)])
+        singular = [1, 3, 520, 599]  # the last two lie beyond the first default batch
+        Q[singular] = [[10.0, 0.0], [6.5, 0.0], [3.0, 0.0], [15.5, 0.0]]
         preds = [model.predict(q, with_kernel=True) for q in Q]
-        assert [p.degenerate for p in preds] == [False, True, False, True, False]
+        assert [j for j, p in enumerate(preds) if p.degenerate] == singular
         for j, pred in enumerate(preds):
-            assert means[j] == pred.mean == model.predict_mean(Q[j])
-            assert stderrs[j] == pred.stderr
+            assert pred.mean == model.predict_mean(Q[j])
             if pred.degenerate:  # weighted mean of the neighborhood
                 assert pred.mean == pytest.approx(pred.kernel @ y, abs=1e-12)
                 assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(pred.kernel[21:] == 0.0)
-        np.testing.assert_array_equal(model.predict_mean_many(Q), means)
+        for rows in (1, 7, loess._BATCH_ROWS):  # batches of one row, of 7, the default
+            monkeypatch.setattr(loess, "_BATCH_ROWS", rows)
+            means, stderrs = model.predict_many(Q)
+            np.testing.assert_array_equal(means, [p.mean for p in preds])
+            np.testing.assert_array_equal(stderrs, [p.stderr for p in preds])
+            np.testing.assert_array_equal(model.predict_mean_many(Q), means)
+
+    def test_row_batches_bound_memory(self):
+        # The r x r algebra runs per batch of rows, so its arrays do not grow
+        # with the query count: 8000 rows in one batch peaked at 14 MiB.
+        rng = np.random.default_rng(22)
+        X = rng.uniform(0, 1, size=(1000, 3))
+        model = fit(X, rng.normal(size=1000), LoessConfig(span=0.4))
+        Q = rng.uniform(0, 1, size=(8000, 3))
+        tracemalloc.start()
+        try:
+            model.predict_many(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_coincident_neighbors_get_equal_weights(self):
         rng = np.random.default_rng(21)
@@ -296,10 +370,12 @@ class TestBlockKernel:
     def test_constant_responses_batch_zero_stderr(self):
         rng = np.random.default_rng(16)
         X = rng.uniform(0, 1, size=(300, 3))
-        model = fit(X, np.full(300, 3.25), LoessConfig(span=0.3))
-        means, stderrs = model.predict_many(rng.uniform(0, 1, size=(300, 3)))
-        np.testing.assert_allclose(means, 3.25, rtol=0, atol=1e-10)
-        assert np.all(stderrs <= 1e-10)
+        Q = rng.uniform(0, 1, size=(300, 3))
+        for value in (3.25, 0.7):  # the mean of 300 copies of 0.7 is not 0.7
+            model = fit(X, np.full(300, value), LoessConfig(span=0.3))
+            means, stderrs = model.predict_many(Q)
+            np.testing.assert_allclose(means, value, rtol=0, atol=1e-10)
+            assert np.all(stderrs == 0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_far_queries_match_dense_wls(self, d):
