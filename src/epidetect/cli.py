@@ -70,11 +70,11 @@ def cmd_solve(cfg: RunConfig, workers: int) -> None:
     print(f"solve: variant={cfg.variant.value} method={method} "
           f"n_end={cfg.srmc.n_end} t_max={cfg.srmc.t_max} seed={cfg.master_seed}")
 
-    def progress(t: int, sup: float) -> None:
-        if np.isnan(sup):
+    def progress(t: int, shift: float) -> None:
+        if np.isnan(shift):
             print(f"  iteration {t:3d}")
         else:
-            print(f"  iteration {t:3d}  sup|q - q_prev| = {sup:.4f}")
+            print(f"  iteration {t:3d}  boundary shift in P = {shift:.4f}")
 
     result = solve(
         cfg.srmc, cfg.epidemic, cfg.costs, cfg.variant,
@@ -86,11 +86,9 @@ def cmd_solve(cfg: RunConfig, workers: int) -> None:
         doc["config_hash"] = chash
         (maps_dir / f"map_t{dmap.iteration:02d}.json").write_text(json.dumps(doc))
 
-    # a full3d trace runs along I1 at the fixed S1 slice
-    lead = [] if result.trace_s_value is None else [_fmt(result.trace_s_value)]
-    rows = [[dmap.iteration, *lead, _fmt(float(i1)), "" if np.isnan(p) else _fmt(float(p))]
+    rows = [[dmap.iteration, *map(_fmt, line), "" if np.isnan(p) else _fmt(float(p))]
             for dmap, trace in zip(result.maps, result.traces)
-            for i1, p in zip(result.trace_i_values, trace)]
+            for line, p in zip(result.trace_lines.tolist(), trace)]
     _write_csv(out / "boundaries.csv", ["t", *MAP_COORDS[cfg.variant][:-1], "p_boundary"],
                rows, chash, cfg.master_seed)
 

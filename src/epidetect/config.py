@@ -191,7 +191,7 @@ _CASTS: dict[str, dict] = {
     "srmc": {"span": _real, "degree": _integer, "n0": _integer, "n_batch": _integer,
              "n_end": _integer, "d_candidates": _integer,
              "acquisition": lambda v: str(v).lower(), "t_max": _integer,
-             "mpc_switch": _integer, "tol": _nullable(_real),
+             "mpc_switch": _integer, "tol": _real,
              "trace_s1": _nullable(_integer)},
     "evaluate": {"policies": _policies, "n_paths": _integer, "horizon": _integer},
     "simulate": {"n_paths": _integer, "horizon": _integer, "two_pool": _boolean},

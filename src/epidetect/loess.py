@@ -14,7 +14,9 @@ Euclidean distance. Each prediction exposes
   * the predictive standard error sqrt(sigma2(x)) * ||l(x)||.
 
 The model is the data: fitting stores inputs, responses and per-coordinate
-scales, plus the per-point moment features below, nothing else.
+scales, plus the per-point moment features below, nothing else. The
+standard error's features are built on the first standard-error query, so
+a model that only predicts means never holds them.
 
 Every query runs through one kernel, `LoessModel._fit`, at two block levels
 (a point query is a block of one row):
@@ -67,6 +69,7 @@ bits in any block and batch, alone or among others.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -212,14 +215,18 @@ class LoessModel:
         self._z = _basis(scaled - self._center)
         self._features, self._symmetric = _upper_products(
             np.column_stack([self._z, responses]))
-        # The standard error's features: weighted by w^2, the upper triangle
-        # of z z' gives Z'W^2Z; weighted by w, [z yt, yt^2] gives Z'W yt and
-        # yt'W yt for the responses yt = y - ybar, centered at the response
-        # nearest their mean, so that constant responses give yt = 0 exactly.
-        zz, self._zsymmetric = _upper_products(self._z)
-        yt = responses - responses[np.abs(responses - responses.mean()).argmin()]
-        self._zz = _padded(zz)
-        self._zyt = _padded(np.column_stack([self._z * yt[:, None], yt * yt]))
+
+    @functools.cached_property
+    def _se_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The standard error's features (zz, its spreading index, zyt): weighted
+        by w^2, the upper triangle zz of z z' gives Z'W^2Z; weighted by w,
+        zyt = [z yt, yt^2] gives Z'W yt and yt'W yt for the responses yt = y -
+        ybar, centered at the response nearest their mean, so that constant
+        responses give yt = 0 exactly."""
+        y = self.responses
+        zz, symmetric = _upper_products(self._z)
+        yt = y - y[np.abs(y - y.mean()).argmin()]
+        return _padded(zz), symmetric, _padded(np.column_stack([self._z * yt[:, None], yt * yt]))
 
     @property
     def n_points(self) -> int:
@@ -285,9 +292,10 @@ class LoessModel:
             mz[flat] = self._moments(w[flat])
         if not with_se:
             return (mz,)
+        zz_features, symmetric, zyt = self._se_features
         np.multiply(w, w, out=cube)
-        zz = (cube[:, None, :] @ self._zz)[:, 0, self._zsymmetric].reshape(-1, r, r)
-        zy = (w[:, None, :] @ self._zyt)[:, 0]
+        zz = (cube[:, None, :] @ zz_features)[:, 0, symmetric].reshape(-1, r, r)
+        zy = (w[:, None, :] @ zyt)[:, 0]
         k_size = np.count_nonzero(d2 <= d2max[:, None], axis=1)  # boundary ties included
         return (mz, zz, zy, k_size) + ((w,) if with_kernel else ())
 

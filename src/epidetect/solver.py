@@ -18,10 +18,11 @@ falls in the iteration-(t-s) announce region (with the convention that the
 iteration-0 region covers everything, so every scenario stops by stage t).
 Past a configurable switch the scenario stopping rule freezes to the most
 recent map (receding horizon), and the iteration loop terminates once the
-surrogate stops changing in sup-norm on a fixed audit grid. Scenarios run
-in blocks through `run_scenarios`, the one stepping loop of the package,
-which also steps the evaluation paths of `strategy`: each stage asks the
-stop rule once for all live scenarios of the block.
+announce boundary stops moving: `trace_distance`, the sup distance in P
+between the boundary traces of consecutive maps, falls below a tolerance.
+Scenarios run in blocks through `run_scenarios`, the one stepping loop of
+the package, which also steps the evaluation paths of `strategy`: each
+stage asks the stop rule once for all live scenarios of the block.
 
 Designs grow sequentially: an initial Latin hypercube design is augmented
 in batches drawn toward the current announce/wait boundary, where the sign
@@ -81,9 +82,9 @@ class SrmcConfig:
     d_candidates: int = 2500
     t_max: int = 20
     mpc_switch: int = 5
-    tol: Optional[float] = None  # None: 0.05 * c_delay; 0: run to t_max
+    tol: float = 0.0  # boundary shift in P that ends the solve; 0: run to t_max
     loess: LoessConfig = field(default_factory=LoessConfig)
-    trace_s1: Optional[int] = None  # S1 slice for 3-D boundary traces
+    trace_s1: Optional[int] = None  # S1 of 3-D trace lines, at most M1 - I1; None: M1 - 10
 
     def __post_init__(self):
         if self.n0 < 1 or self.n_end < self.n0:
@@ -100,7 +101,7 @@ class SrmcConfig:
             raise ValueError(f"t_max must be at least 1, got {self.t_max}")
         if self.mpc_switch < 1:
             raise ValueError(f"mpc_switch must be at least 1, got {self.mpc_switch}")
-        if self.tol is not None and not self.tol >= 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
     @property
@@ -475,10 +476,10 @@ def lattice(box: StateBox, per_axis: int) -> np.ndarray:
 
 
 def audit_grid(box: StateBox, variant: ModelVariant) -> np.ndarray:
-    """Fixed lattice on which surrogate convergence is measured.
+    """Fixed lattice of the regression box whose I1 values are the trace lines.
 
-    Built by `lattice`, so its I1 values, which boundary traces reuse, need
-    not be integer (8.1633 = 400 / 49 on the 2-D grid).
+    Built by `lattice`, so its I1 values need not be integer (8.1633 =
+    400 / 49 on the 2-D grid).
     """
     return lattice(box, 20 if variant is ModelVariant.FULL3D else 50)
 
@@ -523,13 +524,23 @@ def boundary_lines(
 def boundary_trace(
     dmap: DetectionMap,
     i_values: Sequence[float],
-    s_value: Optional[float] = None,
+    s_value: Optional[float | np.ndarray] = None,
 ) -> np.ndarray:
-    """Boundary crossing in P per I1 lattice value (fixed S1 slice in 3-D)."""
+    """Boundary crossing in P per I1 lattice value; in 3-D at S1 = `s_value` (one or per line)."""
     i_values = np.asarray(i_values, dtype=float)
-    lead = [] if s_value is None else [np.full(i_values.shape, float(s_value))]
+    lead = [] if s_value is None else [np.broadcast_to(s_value, i_values.shape)]
     prefixes = np.column_stack(lead + [i_values])
     return boundary_lines(dmap, prefixes, dmap.domain.lower[-1], dmap.domain.upper[-1])
+
+
+def trace_distance(trace_a: np.ndarray, trace_b: np.ndarray) -> float:
+    """Sup distance in P between two boundary traces.
+
+    Lines where waiting holds everywhere (NaN) count as a boundary at 1.
+    """
+    a = np.where(np.isnan(trace_a), 1.0, trace_a)
+    b = np.where(np.isnan(trace_b), 1.0, trace_b)
+    return float(np.max(np.abs(a - b)))
 
 
 @dataclass
@@ -537,10 +548,9 @@ class MapSequence:
     """Solve result: one map per iteration plus the convergence record."""
 
     maps: list[DetectionMap]
-    sup_diffs: list[float]            # |qhat_t - qhat_{t-1}|_sup on the audit grid
+    sup_diffs: list[float]            # trace_distance of maps t - 1 and t, t >= 2
     traces: list[np.ndarray]          # boundary trace per iteration
-    trace_i_values: np.ndarray
-    trace_s_value: Optional[float]
+    trace_lines: np.ndarray           # leading coordinates ([S1,] I1) of each trace line
     converged: bool
     warning: Optional[str] = None
 
@@ -561,55 +571,51 @@ def solve(
     workers: int = 1,
     progress=None,
 ) -> MapSequence:
-    """Iterate map building until the surrogate stabilizes or t_max is hit.
+    """Iterate map building until the announce boundary settles or t_max is hit.
 
-    Convergence is declared when the sup-norm difference of consecutive
-    surrogates over the fixed audit grid drops below the tolerance
-    (default 0.05 * c_delay; 0 disables the check). Boundary traces are
-    recorded per iteration for convergence reporting; `progress(t, sup)`
-    is called once per iteration, with sup = NaN at t = 1.
+    Each map is traced along the I1 lines of the audit grid, at S1 =
+    min(trace_s1, M1 - I1) in 3-D so that every line holds states that can
+    exist. Convergence is declared when `trace_distance` between the traces
+    of consecutive maps drops below `config.tol`, in P units (0 disables the
+    check; the traces resolve P to 1e-3). `progress(t, shift)` is called
+    once per iteration, with shift = NaN at t = 1.
     """
     variant = ModelVariant(variant)
     box = default_box(params, variant)
-    tol = config.tol if config.tol is not None else 0.05 * costs.c_delay
-    grid = audit_grid(box, variant)
-    i_axis = np.unique(grid[:, -2])
-    s_value = None
+    i_axis = np.unique(audit_grid(box, variant)[:, -2])
+    s_values = None
     if "s1" in MAP_COORDS[variant]:
-        s_value = float(box.upper[0] - 10 if config.trace_s1 is None else config.trace_s1)
+        s_top = box.upper[0] - 10 if config.trace_s1 is None else config.trace_s1
+        s_values = np.minimum(float(s_top), params.pool_sizes[0] - i_axis)
 
     maps: list[DetectionMap] = []
     traces: list[np.ndarray] = []
     sup_diffs: list[float] = []
-    q_prev: Optional[np.ndarray] = None
     converged = False
 
     for t in range(1, config.t_max + 1):
         dmap = build_map(t, maps, config, params, costs, variant, workers=workers)
         maps.append(dmap)
-        q_grid = dmap.surrogate.predict_mean_many(grid)
-        traces.append(boundary_trace(dmap, i_axis, s_value))
-        sup = math.nan if q_prev is None else float(np.max(np.abs(q_grid - q_prev)))
+        traces.append(boundary_trace(dmap, i_axis, s_values))
+        shift = math.nan if t == 1 else trace_distance(traces[-2], traces[-1])
         if progress is not None:
-            progress(t, sup)
-        if q_prev is not None:
-            sup_diffs.append(sup)
-        q_prev = q_grid
-        if sup < tol:  # never at t = 1 (NaN) or with tol = 0
+            progress(t, shift)
+        if t > 1:
+            sup_diffs.append(shift)
+        if shift < config.tol:  # never at t = 1 (NaN) or with tol = 0
             converged = True
             break
 
     warning = None
-    if not converged and tol > 0:
-        compared = (f"last sup diff {sup_diffs[-1]:.4g} vs tol {tol:.4g}" if sup_diffs
-                    else f"no earlier surrogate was compared; tol {tol:.4g}")
-        warning = f"surrogate not converged after {len(maps)} iterations ({compared})"
+    if not converged and config.tol > 0:
+        compared = (f"last boundary shift {sup_diffs[-1]:.4g} vs tol {config.tol:.4g}"
+                    if sup_diffs else f"no earlier boundary was compared; tol {config.tol:.4g}")
+        warning = f"boundary not converged after {len(maps)} iterations ({compared})"
     return MapSequence(
         maps=maps,
         sup_diffs=sup_diffs,
         traces=traces,
-        trace_i_values=i_axis,
-        trace_s_value=s_value,
+        trace_lines=np.column_stack([i_axis] if s_values is None else [s_values, i_axis]),
         converged=converged,
         warning=warning,
     )

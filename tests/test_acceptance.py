@@ -28,12 +28,12 @@ from epidetect.costs import immediate_cost, pathwise_cost
 from epidetect.design import StateBox, acquisition_weight, lhs
 from epidetect.loess import LoessConfig, fit
 from epidetect.sir import simulate_interval
-from epidetect.solver import build_map, path_and_cost
+from epidetect.solver import build_map, path_and_cost, trace_distance
 from epidetect.strategy import ThresholdT
 
 from .sir_oracle import transition_rates
 from .test_loess import dense_wls_oracle
-from .test_solver import boundary_in_p, trace_distance
+from .test_solver import boundary_in_p
 
 pytestmark = pytest.mark.acceptance
 

@@ -142,14 +142,14 @@ class TestSolveCommand:
         assert err.endswith("error: need at least 3 points, got 2\n")
 
     def test_single_iteration_solve(self, tmp_path):
-        # the default tol asks for convergence, which one iteration cannot show
-        cfg = write_config(tmp_path, overrides={"srmc": {"t_max": 1, "tol": None}})
+        # a positive tol asks for convergence, which one iteration cannot show
+        cfg = write_config(tmp_path, overrides={"srmc": {"t_max": 1, "tol": 0.05}})
         out = tmp_path / "o"
         assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
         assert sorted(p.name for p in (out / "maps").iterdir()) == ["map_t01.json"]
         report = json.loads((out / "convergence.json").read_text())
         assert report["converged"] is False and report["sup_diffs"] == []
-        assert "no earlier surrogate was compared" in report["warning"]
+        assert "no earlier boundary was compared" in report["warning"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_are_refused(self, tmp_path, capsys, workers):
@@ -167,6 +167,12 @@ class TestSolveCommand:
         assert '"tol": -Infinity' in cfg.read_text()
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "tol must be nonnegative, got -inf" in capsys.readouterr().err
+
+    def test_null_tol_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, overrides={"srmc": {"tol": None}})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid 'srmc' section: float() argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("make", [
         lambda path: path.mkdir(),
@@ -577,7 +583,9 @@ class TestExportMap:
             fh.readline()  # provenance
             header, *rows = list(csv.reader(fh))
         assert header == ["t", "s1", "i1", "p_boundary"]
-        assert rows and all(row[1] == "1990.0" for row in rows)
+        # each line's S1 is min(trace_s1, M1 - I1): a state that can exist
+        assert rows and all(float(row[1]) + float(row[2]) <= 2000 for row in rows)
+        assert {row[1] for row in rows if row[2] == "0.0"} == {"1990.0"}
         assert main(["export-map", "--map", str(out / "maps" / "map_t02.json"),
                      "--out", str(tmp_path / "exp"), "--grid", "4"]) == 0
         with (tmp_path / "exp" / "map_t02_grid.csv").open() as fh:

@@ -117,6 +117,8 @@ class TestValues:
         ("srmc", "span", "abc", "could not convert string to float: 'abc'"),
         ("srmc", "degree", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("srmc", "tol", "abc", "could not convert string to float: 'abc'"),
+        ("srmc", "tol", None, "float() argument must be a string or a real number, "
+                              "not 'NoneType'"),
         ("srmc", "trace_s1", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("srmc", "acquisition", "bogus", "acquisition must be 'min', the only supported "
                                          "value, got 'bogus'"),
@@ -278,8 +280,8 @@ class TestValues:
 
 class TestAccepted:
     def test_nullable_srmc_keys(self):
-        cfg = parse_config(with_("srmc", tol=None, trace_s1=None))
-        assert cfg.srmc.tol is None and cfg.srmc.trace_s1 is None
+        cfg = parse_config(with_("srmc", tol=0.05, trace_s1=None))
+        assert cfg.srmc.tol == 0.05 and cfg.srmc.trace_s1 is None
 
     def test_numeric_strings_and_case(self):
         doc = with_("epidemic", beta="0.75", pool_sizes=["2000", 2000], sigma_delta="0.01")

@@ -31,6 +31,7 @@ from epidetect.solver import (
     extinct_margin,
     path_and_cost,
     run_scenarios,
+    trace_distance,
 )
 
 NO_NOISE = EpidemicParams(0.75, 0.5, 0.01, (2000, 2000), sigma_delta=0.0)
@@ -482,12 +483,52 @@ class TestSolve:
 
     def test_single_iteration_is_not_converged(self, case_params, case_costs):
         cfg = SrmcConfig(master_seed=35, n0=60, n_batch=30, n_end=90,
-                         d_candidates=100, t_max=1)
+                         d_candidates=100, t_max=1, tol=0.05)
         seq = solve(cfg, case_params, case_costs, ModelVariant.LP2D)
         assert seq.iterations == 1 and seq.sup_diffs == []
         assert not seq.converged
-        assert seq.warning == ("surrogate not converged after 1 iterations "
-                               "(no earlier surrogate was compared; tol 0.05)")
+        assert seq.warning == ("boundary not converged after 1 iterations "
+                               "(no earlier boundary was compared; tol 0.05)")
+
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    def test_sup_diffs_are_trace_distances(self, variant, case_params, case_costs,
+                                           monkeypatch):
+        scored, predicted = [], []
+        score, predict = DetectionMap.score_locations, LoessModel.predict_mean_many
+
+        def score_spy(dmap, locs):
+            scored.append(int(np.count_nonzero(np.asarray(locs)[:, -2] != 0.0)))
+            return score(dmap, locs)
+
+        def predict_spy(model, xs):
+            predicted.append(len(xs))
+            return predict(model, xs)
+
+        monkeypatch.setattr(DetectionMap, "score_locations", score_spy)
+        monkeypatch.setattr(LoessModel, "predict_mean_many", predict_spy)
+        cfg = SrmcConfig(master_seed=36, n0=60, n_batch=60, n_end=60,
+                         d_candidates=100, t_max=4)
+        seq = solve(cfg, case_params, case_costs, variant)
+        # every mean query scores a stop rule's or a trace's off-line rows:
+        # the surrogate is never asked on the audit grid
+        assert sum(predicted) == sum(scored) > 0
+        assert len(seq.sup_diffs) == 3
+        for k, shift in enumerate(seq.sup_diffs):
+            assert shift == trace_distance(seq.traces[k], seq.traces[k + 1])
+        assert seq.warning is None  # the default tol 0 runs to t_max
+
+    def test_positive_tol_stops_at_first_shift_below_it(self, case_params, case_costs):
+        cfg = SrmcConfig(master_seed=37, n0=60, n_batch=60, n_end=60,
+                         d_candidates=100, t_max=6)
+        shifts = solve(cfg, case_params, case_costs, ModelVariant.LP2D).sup_diffs
+        tol = sorted(shifts)[2]
+        first = next(k for k, shift in enumerate(shifts) if shift < tol)
+        assert first < len(shifts) - 1
+        seq = solve(dataclasses.replace(cfg, tol=tol), case_params, case_costs,
+                    ModelVariant.LP2D)
+        assert seq.converged and seq.warning is None
+        assert seq.iterations == first + 2
+        assert seq.sup_diffs == shifts[: first + 1]
 
     def test_solve_determinism(self, case_params, case_costs):
         cfg = SrmcConfig(master_seed=34, n0=60, n_batch=30, n_end=90,
@@ -526,16 +567,6 @@ class TestSolve:
         assert means[-1] < means[0]  # overall improvement
         for prev, cur in zip(means, means[1:]):
             assert cur <= prev + 0.35, means  # no real regression, MC slack
-
-
-def trace_distance(trace_a: np.ndarray, trace_b: np.ndarray) -> float:
-    """Sup distance in P between two boundary traces.
-
-    Lines where waiting holds everywhere (NaN) count as a boundary at 1.
-    """
-    a = np.where(np.isnan(trace_a), 1.0, trace_a)
-    b = np.where(np.isnan(trace_b), 1.0, trace_b)
-    return float(np.max(np.abs(a - b)))
 
 
 def boundary_in_p(
