@@ -38,7 +38,7 @@ from .costs import CostParams
 from .loess import LoessConfig
 from .reduced import ModelVariant, ReducedState
 from .sir import EpidemicParams
-from .solver import SrmcConfig
+from .solver import SrmcConfig, check_solvable
 from .strategy import ThresholdP, ThresholdT
 
 
@@ -168,9 +168,9 @@ def _policies(value: Any) -> tuple[dict, ...]:
     return tuple(_policy(spec) for spec in value)
 
 
-def _srmc_config(master_seed: int, degree: int = 1, acquisition: str = "min",
-                 **knobs) -> SrmcConfig:
-    """SrmcConfig whose LoessConfig takes the `span` knob.
+def _srmc_config(master_seed: int, epidemic: EpidemicParams, variant: ModelVariant,
+                 degree: int = 1, acquisition: str = "min", **knobs) -> SrmcConfig:
+    """SrmcConfig whose LoessConfig takes the `span` knob, checked by `check_solvable`.
 
     The solver fits local-linear loess and weighs candidates by min(p, 1 - p)
     only, so `degree` must be 1 and `acquisition` "min".
@@ -179,7 +179,9 @@ def _srmc_config(master_seed: int, degree: int = 1, acquisition: str = "min",
         if value != only:
             raise ValueError(f"{key} must be {only!r}, the only supported value, got {value!r}")
     loess = LoessConfig(knobs.pop("span")) if "span" in knobs else LoessConfig()
-    return SrmcConfig(master_seed, loess=loess, **knobs)
+    srmc = SrmcConfig(master_seed, loess=loess, **knobs)
+    check_solvable(srmc, epidemic, variant)
+    return srmc
 
 
 # The keys each section may set, in the order their values are cast.
@@ -288,7 +290,8 @@ def parse_config(
     epidemic = _read_section(raw, "epidemic", EpidemicParams, _CASTS["epidemic"],
                              required=True)
     costs = _read_section(raw, "costs", CostParams, _CASTS["costs"], required=True)
-    srmc = (_read_section(raw, "srmc", _srmc_config, _CASTS["srmc"], master_seed=master_seed)
+    srmc = (_read_section(raw, "srmc", _srmc_config, _CASTS["srmc"], master_seed=master_seed,
+                          epidemic=epidemic, variant=variant)
             or SrmcConfig(master_seed))
     settings = {}
     for name, build in (("evaluate", EvaluateSettings), ("simulate", SimulateSettings)):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,19 @@ def immediate_cost(p, costs: CostParams):
     return costs.c_fa * (1.0 - p)
 
 
-def pathwise_cost(p_path: Sequence[float], tau: int, costs: CostParams) -> float:
-    """Realized cost of announcing at stage `tau` along a P trajectory.
+def pathwise_cost(p, tau, costs: CostParams) -> np.ndarray:
+    """Realized cost of announcing at stage `tau[n]` along row n of the P block `p`.
 
-    Sum of per-stage delay costs C_Delay * P_s for s = 0..tau-1 plus the
-    false-alarm term C_FA * (1 - P_tau).
+    `p` holds one path per row, stages 0..H in its columns; `tau` one stop
+    stage per row. Row n costs the delay C_Delay * P_s summed left to right
+    over s = 0..tau[n]-1, plus the false-alarm term C_FA * (1 - P_tau[n]).
+    Stages after tau[n] are never read, so they may hold NaN. Raises
+    `ValueError` for a stage outside 0..H.
     """
-    n = len(p_path)
-    if not 0 <= tau < n:
-        raise ValueError(f"tau={tau} out of range for path of length {n}")
-    waiting = 0.0
-    for s in range(tau):
-        waiting += p_path[s]
-    return costs.c_delay * waiting + costs.c_fa * (1.0 - p_path[tau])
+    p = np.asarray(p, dtype=float)
+    tau = np.asarray(tau)
+    if np.any((tau < 0) | (tau >= p.shape[1])):
+        raise ValueError(f"stop stage outside 0..{p.shape[1] - 1} in {tau}")
+    rows = np.arange(p.shape[0])
+    waiting = np.where(tau > 0, np.cumsum(p, axis=1)[rows, tau - 1], 0.0)
+    return costs.c_delay * waiting + costs.c_fa * (1.0 - p[rows, tau])

@@ -67,7 +67,7 @@ MAP_LOESS_FIXED = {"degree": 1, "min_neighbors": None, "kernel": "tricube"}
 
 # The state coordinates a map of each variant reads, in column order. I1 is
 # always second to last and P last, which `on_extinct_line`,
-# `score_locations`, `boundary_lines` and `build_map` rely on.
+# `score_locations`, `boundary_trace` and `build_map` rely on.
 MAP_COORDS = {ModelVariant.FULL3D: ("s1", "i1", "p"), ModelVariant.LP2D: ("i1", "p")}
 
 
@@ -107,6 +107,18 @@ class SrmcConfig:
     @property
     def sequential(self) -> bool:
         return self.n_end > self.n0
+
+
+def check_solvable(config: SrmcConfig, params: EpidemicParams, variant: ModelVariant) -> None:
+    """Raise `ValueError` for an n0 below the local-linear basis size or a trace_s1 off the
+    S1 axis."""
+    variant, m1 = ModelVariant(variant), params.pool_sizes[0]
+    if config.n0 < (basis := len(MAP_COORDS[variant]) + 1):
+        raise ValueError(f"n0 must be at least {basis}, the local-linear basis size of "
+                         f"a {variant.value} map, got {config.n0}")
+    if config.trace_s1 is not None and not m1 // 2 <= config.trace_s1 <= m1:
+        raise ValueError(f"trace_s1 must lie on the S1 axis [{m1 // 2}, {m1}] of the "
+                         f"regression box, got {config.trace_s1}")
 
 
 def default_box(params: EpidemicParams, variant: ModelVariant) -> StateBox:
@@ -335,8 +347,8 @@ def scenario_costs(
     every live scenario without a query. With `mpc_switch` set and t beyond
     it, stages s < t ask the single latest map instead. Each stage asks its
     map once, for all live scenarios of the block. `starts = (s1, i1, p)` as
-    in `run_scenarios`. Returns the stopping stages and the realized
-    pathwise costs.
+    in `run_scenarios`. Returns the stopping stages and their realized
+    costs, scored in one `pathwise_cost` pass over the block.
     """
     if t < 1:
         raise ValueError(f"iteration t must be at least 1, got {t}")
@@ -351,7 +363,7 @@ def scenario_costs(
         return dmap.score_locations(dmap.location(s1, i1, p)) > 0.0
 
     _, _, p, taus = run_scenarios(starts, streams, t, params, variant, stops)
-    return taus, np.array([pathwise_cost(p[j], taus[j], costs) for j in range(len(streams))])
+    return taus, pathwise_cost(p, taus, costs)
 
 
 def path_and_cost(
@@ -408,11 +420,10 @@ def build_map(
             i1 = rows[:, -2]
             s1 = rows[:, 0] if "s1" in MAP_COORDS[variant] else params.pool_sizes[0] - i1
             streams = [root.derive(t, LABEL_SCENARIO, start + j) for j in range(lo, hi)]
-            _taus, q = scenario_costs(
+            return scenario_costs(
                 (s1, i1, rows[:, -1]), streams, t, maps, params, costs, variant,
                 mpc_switch=config.mpc_switch,
-            )
-            return q
+            )[1]
 
         return np.array(parallel.indexed_map(run, locs.shape[0], workers))
 
@@ -484,53 +495,35 @@ def audit_grid(box: StateBox, variant: ModelVariant) -> np.ndarray:
     return lattice(box, 20 if variant is ModelVariant.FULL3D else 50)
 
 
-def boundary_lines(
-    dmap: DetectionMap,
-    prefixes: np.ndarray,
-    p_lo: float = 0.0,
-    p_hi: float = 0.999,
-    resolution: float = 1e-3,
-) -> np.ndarray:
-    """Announce-boundary crossing in P along each of several lattice lines.
+def boundary_trace(dmap: DetectionMap, lines: np.ndarray) -> np.ndarray:
+    """Announce-boundary crossing in P along each row of `lines`, to 1e-3.
 
-    Row j of `prefixes` fixes the leading coordinates (S1, I1 or just I1) of
-    line j. Bisects the sign of qhat - d on every line at once, scoring the
-    midpoints of all lines still open with one `score_locations` call per
-    step. A line gets `p_lo` when announcing holds on the whole line and NaN
-    when waiting holds everywhere below `p_hi`.
+    Row j of `lines` fixes the leading coordinates ([S1,] I1) of line j,
+    which runs over the P range of `dmap.domain`. Bisects the sign of
+    qhat - d on every line at once, scoring the midpoints of all lines
+    still open with one `score_locations` call per step. A line gets the
+    bottom of the range when announcing holds on the whole line and NaN
+    when waiting holds everywhere below its top.
     """
-    prefixes = np.asarray(prefixes, dtype=float)
-    n = prefixes.shape[0]
+    lines = np.asarray(lines, dtype=float)
+    n = lines.shape[0]
 
     def announces(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return dmap.score_locations(np.column_stack([prefixes[rows], p])) > 0
+        return dmap.score_locations(np.column_stack([lines[rows], p])) > 0
 
     out = np.full(n, math.nan)
-    lo, hi = np.full(n, float(p_lo)), np.full(n, float(p_hi))
+    lo, hi = (np.full(n, float(end[-1])) for end in (dmap.domain.lower, dmap.domain.upper))
     at_lo = announces(np.arange(n), lo)
-    out[at_lo] = p_lo
+    out[at_lo] = lo[at_lo]
     rows = np.flatnonzero(~at_lo)
-    rows = rows[announces(rows, hi[rows])]  # the others wait everywhere: NaN
-    done = rows
-    while (rows := rows[hi[rows] - lo[rows] > resolution]).size:
+    done = rows = rows[announces(rows, hi[rows])]  # the others wait everywhere: NaN
+    while (rows := rows[hi[rows] - lo[rows] > 1e-3]).size:
         mid = 0.5 * (lo[rows] + hi[rows])
         up = announces(rows, mid)
         hi[rows[up]] = mid[up]
         lo[rows[~up]] = mid[~up]
     out[done] = 0.5 * (lo[done] + hi[done])
     return out
-
-
-def boundary_trace(
-    dmap: DetectionMap,
-    i_values: Sequence[float],
-    s_value: Optional[float | np.ndarray] = None,
-) -> np.ndarray:
-    """Boundary crossing in P per I1 lattice value; in 3-D at S1 = `s_value` (one or per line)."""
-    i_values = np.asarray(i_values, dtype=float)
-    lead = [] if s_value is None else [np.broadcast_to(s_value, i_values.shape)]
-    prefixes = np.column_stack(lead + [i_values])
-    return boundary_lines(dmap, prefixes, dmap.domain.lower[-1], dmap.domain.upper[-1])
 
 
 def trace_distance(trace_a: np.ndarray, trace_b: np.ndarray) -> float:
@@ -573,20 +566,21 @@ def solve(
 ) -> MapSequence:
     """Iterate map building until the announce boundary settles or t_max is hit.
 
-    Each map is traced along the I1 lines of the audit grid, at S1 =
-    min(trace_s1, M1 - I1) in 3-D so that every line holds states that can
-    exist. Convergence is declared when `trace_distance` between the traces
-    of consecutive maps drops below `config.tol`, in P units (0 disables the
-    check; the traces resolve P to 1e-3). `progress(t, shift)` is called
-    once per iteration, with shift = NaN at t = 1.
+    Each map is traced by `boundary_trace` along the I1 lines of the audit
+    grid, at S1 = min(trace_s1, M1 - I1) in 3-D so that every line holds
+    states that can exist. Convergence is declared when `trace_distance`
+    between the traces of consecutive maps drops below `config.tol`, in P
+    units (0 disables the check; the traces resolve P to 1e-3).
+    `progress(t, shift)` is called once per iteration, with shift = NaN at
+    t = 1. Raises `ValueError` from `check_solvable` before any scenario.
     """
     variant = ModelVariant(variant)
+    check_solvable(config, params, variant)
     box = default_box(params, variant)
-    i_axis = np.unique(audit_grid(box, variant)[:, -2])
-    s_values = None
+    lines = np.unique(audit_grid(box, variant)[:, -2])[:, None]
     if "s1" in MAP_COORDS[variant]:
         s_top = box.upper[0] - 10 if config.trace_s1 is None else config.trace_s1
-        s_values = np.minimum(float(s_top), params.pool_sizes[0] - i_axis)
+        lines = np.column_stack([np.minimum(float(s_top), params.pool_sizes[0] - lines), lines])
 
     maps: list[DetectionMap] = []
     traces: list[np.ndarray] = []
@@ -596,7 +590,7 @@ def solve(
     for t in range(1, config.t_max + 1):
         dmap = build_map(t, maps, config, params, costs, variant, workers=workers)
         maps.append(dmap)
-        traces.append(boundary_trace(dmap, i_axis, s_values))
+        traces.append(boundary_trace(dmap, lines))
         shift = math.nan if t == 1 else trace_distance(traces[-2], traces[-1])
         if progress is not None:
             progress(t, shift)
@@ -615,7 +609,7 @@ def solve(
         maps=maps,
         sup_diffs=sup_diffs,
         traces=traces,
-        trace_lines=np.column_stack([i_axis] if s_values is None else [s_values, i_axis]),
+        trace_lines=lines,
         converged=converged,
         warning=warning,
     )

@@ -267,17 +267,15 @@ def evaluate_on(policy: Policy, paths: FrozenPaths, costs: CostParams) -> Strate
     tau = np.where(stages > 0, stages, horizon)
 
     taus = tau.astype(float)
-    costs_out = np.array([pathwise_cost(paths.p[n], tau[n], costs) for n in range(n_paths)])
+    costs_out = pathwise_cost(paths.p, tau, costs)
     p_taus = paths.p[np.arange(n_paths), tau]
-    sd = float(np.std(taus, ddof=1)) if n_paths > 1 else 0.0
-    sd_cost = float(np.std(costs_out, ddof=1)) if n_paths > 1 else 0.0
     return StrategyReport(
         policy_name=policy.name,
         n_paths=n_paths,
         mean_tau=float(np.mean(taus)),
-        sd_tau=sd,
+        sd_tau=float(np.std(taus, ddof=1)) if n_paths > 1 else 0.0,
         mean_cost=float(np.mean(costs_out)),
-        sd_cost=sd_cost,
+        sd_cost=float(np.std(costs_out, ddof=1)) if n_paths > 1 else 0.0,
         pfa=float(np.mean(1.0 - p_taus)),
         cap_hits=int(np.count_nonzero(stages == 0)),
         horizon=horizon,

@@ -282,7 +282,7 @@ def test_criterion_6_property_bundle(solved_lp2d):
     # stopping now reproduces the immediate cost
     gen = np.random.default_rng(65)
     stop_now_ok = all(
-        pathwise_cost([p], 0, costs) == immediate_cost(p, costs)
+        pathwise_cost([[p]], [0], costs)[0] == immediate_cost(p, costs)
         for p in gen.random(100)
     )
     c.check("pathwise_cost(., 0, .) == immediate_cost", stop_now_ok)

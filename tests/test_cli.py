@@ -122,24 +122,55 @@ class TestSolveCommand:
 
     @staticmethod
     def failing_solve(tmp_path, *flags):
-        # design too small for the local basis: the solver raises at fit time
-        cfg = write_config(tmp_path, overrides={"srmc": {"n0": 2, "n_batch": 1,
-                                                         "n_end": 2}})
-        return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        # a file stands where the output directory goes: creating it fails at run time
+        (tmp_path / "blocker").write_text("")
+        cfg = write_config(tmp_path)
+        return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "blocker" / "o"),
                      "--workers", "1", *flags])
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
         assert self.failing_solve(tmp_path) == 3
         err = capsys.readouterr().err
-        assert err == "error: need at least 3 points, got 2\n"
+        assert err == f"error: [Errno 20] Not a directory: '{tmp_path / 'blocker/o/maps'}'\n"
 
     @pytest.mark.parametrize("flag", ["-v", "--verbose"])
     def test_verbose_prints_the_traceback(self, tmp_path, capsys, flag):
         assert self.failing_solve(tmp_path, flag) == 3
         err = capsys.readouterr().err
         assert err.startswith("Traceback (most recent call last)")
-        assert 'raise ValueError(f"need at least' in err
-        assert err.endswith("error: need at least 3 points, got 2\n")
+        assert "maps_dir.mkdir(parents=True, exist_ok=True)" in err
+        assert err.endswith(f"error: [Errno 20] Not a directory: '{tmp_path / 'blocker/o/maps'}'\n")
+
+    @pytest.mark.parametrize("variant, n0, flags, basis", [
+        ("lp2d", 2, [], 3),
+        ("full3d", 3, [], 4),
+        ("lp2d", 3, ["--variant", "full3d"], 4),
+    ])
+    def test_n0_below_the_basis_size_is_a_config_error(self, tmp_path, capsys, variant, n0,
+                                                        flags, basis):
+        cfg = write_config(tmp_path, overrides={"variant": variant, "srmc": {
+            "n0": n0, "n_batch": n0, "n_end": 2 * n0}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "1",
+                     *flags]) == 2
+        target = flags[-1] if flags else variant
+        assert capsys.readouterr().err == (
+            f"config error: invalid 'srmc' section: n0 must be at least {basis}, the "
+            f"local-linear basis size of a {target} map, got {n0}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    @pytest.mark.parametrize("trace_s1", [-5, 5000])
+    def test_trace_s1_off_the_s1_axis_is_a_config_error(self, tmp_path, capsys, variant,
+                                                          trace_s1):
+        cfg = write_config(tmp_path, overrides={"variant": variant,
+                                                "srmc": {"trace_s1": trace_s1}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid 'srmc' section: trace_s1 must lie on the S1 axis "
+            f"[1000, 2000] of the regression box, got {trace_s1}\n")
+        assert not out.exists()
 
     def test_single_iteration_solve(self, tmp_path):
         # a positive tol asks for convergence, which one iteration cannot show

@@ -193,6 +193,14 @@ class TestValues:
                 f"invalid 'output' section: expected str, bytes or os.PathLike object, "
                 f"not {type(value).__name__}")
 
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    @pytest.mark.parametrize("trace_s1", [-5, 0, 999, 2001, 5000])
+    def test_trace_s1_off_the_s1_axis(self, variant, trace_s1):
+        doc = with_("srmc", trace_s1=trace_s1)
+        doc["variant"] = variant
+        rejects(doc, f"invalid 'srmc' section: trace_s1 must lie on the S1 axis "
+                     f"[1000, 2000] of the regression box, got {trace_s1}")
+
     def test_pool_sizes_refuse_fractions(self):
         rejects(with_("epidemic", pool_sizes=[2000.5, 2000]),
                 "invalid 'epidemic' section: expected an integer, got 2000.5")
@@ -282,6 +290,14 @@ class TestAccepted:
     def test_nullable_srmc_keys(self):
         cfg = parse_config(with_("srmc", tol=0.05, trace_s1=None))
         assert cfg.srmc.tol == 0.05 and cfg.srmc.trace_s1 is None
+
+    @pytest.mark.parametrize("variant, n0", [("lp2d", 3), ("full3d", 4)])
+    @pytest.mark.parametrize("trace_s1", [1000, 2000])
+    def test_smallest_n0_and_the_ends_of_the_s1_axis(self, variant, n0, trace_s1):
+        doc = with_("srmc", n0=n0, n_batch=n0, n_end=2 * n0, trace_s1=trace_s1)
+        doc["variant"] = variant
+        srmc = parse_config(doc).srmc
+        assert (srmc.n0, srmc.trace_s1) == (n0, trace_s1)
 
     def test_numeric_strings_and_case(self):
         doc = with_("epidemic", beta="0.75", pool_sizes=["2000", 2000], sigma_delta="0.01")

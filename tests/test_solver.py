@@ -16,14 +16,12 @@ from epidetect import (
     solve,
 )
 from epidetect import reduced, simulate_paths, solver
-from epidetect.costs import pathwise_cost
 from epidetect.loess import LoessModel
 from epidetect.reduced import step
 from epidetect.solver import (
     MAP_COORDS,
     DetectionMap,
     audit_grid,
-    boundary_lines,
     boundary_trace,
     build_map,
     default_box,
@@ -402,7 +400,10 @@ def reference_path_and_cost(x0, t, maps, params, costs, variant, rng, mpc_switch
         p_path.append(x.p)
         if s == t or (maps[t - 2] if mpc else maps[t - s - 1]).announce(x):
             break
-    return s, pathwise_cost(p_path, s, costs)
+    waiting = 0.0
+    for p in p_path[:s]:
+        waiting += p
+    return s, costs.c_delay * waiting + costs.c_fa * (1.0 - p_path[s])
 
 
 @pytest.fixture(scope="module", params=["lp2d", "full3d"])
@@ -539,6 +540,35 @@ class TestSolve:
         for ma, mb in zip(a.maps, b.maps):
             assert ma.to_dict() == mb.to_dict()
 
+    @pytest.mark.parametrize("variant, knobs, message", [
+        ("lp2d", {"n0": 2, "n_end": 2}, "n0 must be at least 3, the local-linear basis "
+                                        "size of a lp2d map, got 2"),
+        ("full3d", {"n0": 3, "n_end": 3}, "n0 must be at least 4, the local-linear basis "
+                                          "size of a full3d map, got 3"),
+        ("full3d", {"trace_s1": -5}, "trace_s1 must lie on the S1 axis [1000, 2000] of "
+                                     "the regression box, got -5"),
+        ("full3d", {"trace_s1": 2001}, "trace_s1 must lie on the S1 axis [1000, 2000] of "
+                                       "the regression box, got 2001"),
+    ])
+    def test_unsolvable_config_raises_before_any_scenario(self, variant, knobs, message,
+                                                          case_params, case_costs,
+                                                          monkeypatch):
+        def no_scenarios(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(solver, "run_scenarios", no_scenarios)
+        cfg = SrmcConfig(master_seed=38, n_batch=1, t_max=1, **{"n0": 60, "n_end": 60, **knobs})
+        with pytest.raises(ValueError) as info:
+            solve(cfg, case_params, case_costs, variant)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("variant, n0", [("lp2d", 3), ("full3d", 4)])
+    def test_n0_at_the_basis_size_solves(self, variant, n0, case_params, case_costs):
+        cfg = SrmcConfig(master_seed=39, n0=n0, n_batch=n0, n_end=2 * n0,
+                         d_candidates=20, t_max=2, trace_s1=1000)
+        seq = solve(cfg, case_params, case_costs, variant)
+        assert seq.iterations == 2 and len(seq.sup_diffs) == 1
+
     def test_trace_distance_conventions(self):
         a = np.array([0.1, math.nan, 0.5])
         b = np.array([0.2, 0.9, math.nan])
@@ -569,15 +599,9 @@ class TestSolve:
             assert cur <= prev + 0.35, means  # no real regression, MC slack
 
 
-def boundary_in_p(
-    dmap: DetectionMap,
-    prefix: Sequence[float],
-    p_lo: float = 0.0,
-    p_hi: float = 0.999,
-    resolution: float = 1e-3,
-) -> float:
-    """`boundary_lines` for the single lattice line fixed by `prefix`."""
-    return float(boundary_lines(dmap, [list(prefix)], p_lo, p_hi, resolution)[0])
+def boundary_in_p(dmap: DetectionMap, prefix: Sequence[float]) -> float:
+    """`boundary_trace` for the single lattice line fixed by `prefix`."""
+    return float(boundary_trace(dmap, [list(prefix)])[0])
 
 
 def line_by_line_boundary(dmap, prefix, p_lo, p_hi, resolution=1e-3):
@@ -678,20 +702,20 @@ class TestExtinctLineAndBoundaries:
     def test_trace_matches_line_by_line_bisection(self, variant, small_lp_map,
                                                   small_full_map):
         dmap = small_lp_map[0] if variant == "lp2d" else small_full_map
-        i_axis = np.unique(audit_grid(dmap.domain, dmap.variant)[:, -2])
-        s_value = None if variant == "lp2d" else float(dmap.domain.upper[0] - 10)
-        lead = [] if s_value is None else [s_value]
+        lines = np.unique(audit_grid(dmap.domain, dmap.variant)[:, -2])[:, None]
+        if variant == "full3d":  # one S1 per line, as `solve` traces them
+            lines = np.column_stack([np.minimum(1990.0, 2000.0 - lines), lines])
         p_lo, p_hi = dmap.domain.lower[-1], dmap.domain.upper[-1]
-        expected = [line_by_line_boundary(dmap, lead + [i1], p_lo, p_hi) for i1 in i_axis]
-        np.testing.assert_array_equal(boundary_trace(dmap, i_axis, s_value), expected)
+        expected = [line_by_line_boundary(dmap, line, p_lo, p_hi) for line in lines.tolist()]
+        np.testing.assert_array_equal(boundary_trace(dmap, lines), expected)
         for j in (0, 7):
-            assert boundary_in_p(dmap, lead + [i_axis[j]], p_lo, p_hi) == expected[j]
+            assert boundary_in_p(dmap, lines[j]) == expected[j]
 
     def test_trace_early_returns(self, small_lp_map):
         dmap = CrossingMap(small_lp_map[0].domain)
         i_axis = np.array([0.0, 20.0, 50.0, 80.0, 150.0, 160.0])
         expected = [line_by_line_boundary(dmap, [i1], 0.0, 0.999) for i1 in i_axis]
-        trace = boundary_trace(dmap, i_axis)
+        trace = boundary_trace(dmap, i_axis[:, None])
         np.testing.assert_array_equal(trace, expected)
         assert trace[0] == trace[1] == 0.0       # announces on the whole line
         assert np.isnan(trace[-2]) and np.isnan(trace[-1])  # waits up to p_hi

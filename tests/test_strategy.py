@@ -16,7 +16,6 @@ from epidetect import (
     paired_compare,
     simulate_paths,
 )
-from epidetect.costs import pathwise_cost
 from epidetect.solver import DetectionMap, build_map
 from epidetect.strategy import ThresholdT
 
@@ -221,7 +220,10 @@ def reference_evaluate(policy, paths, costs):
             tau = paths.horizon
             cap_hits += 1
         taus.append(tau)
-        path_costs.append(pathwise_cost([st.p for st in states[: tau + 1]], tau, costs))
+        waiting = 0.0
+        for st in states[:tau]:
+            waiting += st.p
+        path_costs.append(costs.c_delay * waiting + costs.c_fa * (1.0 - states[tau].p))
         p_taus.append(states[tau].p)
     return np.array(taus, dtype=float), np.array(path_costs), np.array(p_taus), cap_hits
 
