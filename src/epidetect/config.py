@@ -110,6 +110,14 @@ def _text(value: Any) -> str:
     return value
 
 
+def _file_name(value: Any) -> str:
+    """A string that can stand in a file name: not empty, no '/' and no NUL."""
+    name = _text(value)
+    if not name or "/" in name or "\0" in name:
+        raise ValueError(f"expected a non-empty name without '/' or NUL, got {value!r}")
+    return name
+
+
 def _boolean(value: Any) -> bool:
     """A JSON boolean or 0/1; any other value, the string "false" too, is refused."""
     if value not in (0, 1):
@@ -137,7 +145,7 @@ def _nullable(cast):
 # The keys each kind of policy entry may set besides "kind", with their
 # casts; the first key is required. A threshold's cast runs its range check.
 _POLICY_CASTS: dict[str, dict] = {
-    "map": {"path": _text, "name": _nullable(_text)},
+    "map": {"path": _text, "name": _nullable(_file_name)},
     "threshold_p": {"p_bar": lambda v: ThresholdP(_real(v)).p_bar},
     "threshold_t": {"t_bar": lambda v: ThresholdT(_integer(v)).t_bar},
 }

@@ -18,8 +18,8 @@ scales, plus the per-point moment features below, nothing else. The
 standard error's features are built on the first standard-error query, so
 a model that only predicts means never holds them.
 
-Every query runs through one kernel, `LoessModel._fit`, at two block levels
-(a point query is a block of one row):
+Every query, a block of any number of rows (zero included; a point query is
+one row), runs through one kernel, `LoessModel._fit`, at two block levels:
 
   * per block of `_BLOCK_ENTRIES` distance entries, `_weigh` makes the
     passes over the N points: squared distances, summed coordinate by
@@ -268,9 +268,9 @@ class LoessModel:
         also (Z'W^2Z, [Z'W yt, yt'W yt], k_size), plus the (rows x N) weights
         when `with_kernel` is set.
         """
-        n, k, r = self.n_points, self._k, self._r
+        k, r = self._k, self._r
         d2 = self._sq_distances(q)
-        d2max = d2.max(axis=1) if k == n else np.partition(d2, k - 1, axis=1)[:, k - 1]
+        d2max = np.partition(d2, k - 1, axis=1)[:, k - 1]  # k = n: the row maximum
 
         # tricube weights by products, clipped at 0 outside the neighborhood
         # (the row scales are copied along their rows first, as in `_sq_distances`)
@@ -303,10 +303,10 @@ class LoessModel:
                k_size=None, w=None):
         """The r x r algebra for the standardized queries `q` (rows of one batch).
 
-        Takes the moments of `_weigh` for the same rows. Returns the fitted
-        means alone when `with_se` is false, else the tuple (mean, stderr,
-        kernel_norm, sigma2, degenerate), with the (rows x N) equivalent-kernel
-        rows appended when the weights `w` are given.
+        Takes the moments of `_weigh` for the same rows. Returns the tuple
+        (mean,) when `with_se` is false, else (mean, stderr, kernel_norm,
+        sigma2, degenerate), with the (rows x N) equivalent-kernel rows
+        appended when the weights `w` are given.
         """
         b, r = q.shape[0], self._r
         sw = mz[:, r - 1, r - 1]
@@ -335,7 +335,7 @@ class LoessModel:
         if singular.any():
             mean[singular] = mz[singular, r - 1, r] / sw[singular]  # weighted mean
         if not with_se:
-            return mean
+            return (mean,)
 
         # beta = M^{-1} B'Wy = L'^{-1} u and a = M^{-1} e_r = L'^{-1} e_r / L_rr;
         # the equivalent-kernel row is l = w * (B a)
@@ -378,11 +378,11 @@ class LoessModel:
             return out
         return out + (np.multiply(w, (self._z @ a[:, :, None])[:, :, 0], out=w),)
 
-    def _fit(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False):
-        """Local fits at the rows of the 2-D array `xs`.
+    def _fit(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False) -> tuple:
+        """Local fits at the rows of the 2-D array `xs`, any number, 0 included.
 
         Row batches of `_BATCH_ROWS` run `_weigh` block by block and then one
-        `_solve` each.
+        `_solve` each, whose tuples are joined; zero rows make one empty block.
         """
         if xs.shape[1] != self.dim:
             raise ValueError(f"queries have dimension {xs.shape[1]}, model expects {self.dim}")
@@ -391,25 +391,20 @@ class LoessModel:
         q = xs / self.normalization
         rows = max(1, _BLOCK_ENTRIES // self.n_points)
         batches = []
-        for lo in range(0, q.shape[0], _BATCH_ROWS):
+        for lo in range(0, max(q.shape[0], 1), _BATCH_ROWS):
             batch = q[lo:lo + _BATCH_ROWS]
             blocks = [self._weigh(batch[i:i + rows], with_se, with_kernel)
-                      for i in range(0, batch.shape[0], rows)]
-            moments = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
-            batches.append(self._solve(batch, with_se, *moments))
-        if len(batches) == 1:
-            return batches[0]
-        if not with_se:
-            return np.concatenate(batches)
-        return tuple(np.concatenate(part) for part in zip(*batches))
+                      for i in range(0, max(batch.shape[0], 1), rows)]
+            batches.append(self._solve(batch, with_se, *map(np.concatenate, zip(*blocks))))
+        return tuple(map(np.concatenate, zip(*batches)))
 
     def predict_mean(self, x) -> float:
         """Fitted mean at `x` without standard errors (fast path)."""
-        return float(self._fit(np.asarray(x, dtype=float).reshape(1, -1), with_se=False)[0])
+        return float(self._fit(np.asarray(x, dtype=float).reshape(1, -1), with_se=False)[0][0])
 
     def predict_mean_many(self, xs) -> np.ndarray:
         """Fitted means at each row of `xs` (fast path)."""
-        return self._fit(np.atleast_2d(np.asarray(xs, dtype=float)), with_se=False)
+        return self._fit(np.atleast_2d(np.asarray(xs, dtype=float)), with_se=False)[0]
 
     def predict(self, x, with_kernel: bool = False) -> LoessPrediction:
         """Local fit at the query point `x` (length-d array-like)."""

@@ -218,16 +218,13 @@ class DetectionMap:
         return float(self.score_locations(np.asarray(loc, dtype=float)[None])[0])
 
     def score_locations(self, locs) -> np.ndarray:
-        """qhat - d at each row of `locs`; only off-line rows reach the surrogate."""
+        """qhat - d at each row of `locs`, any number of rows, 0 included."""
         locs = np.asarray(locs, dtype=float)
         line = on_extinct_line(locs)
         scores = np.empty(locs.shape[0])
-        if line.any():
-            scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
-        if not line.all():
-            off = locs[~line]
-            scores[~line] = (self.surrogate.predict_mean_many(off)
-                             - immediate_cost(off[:, -1], self.costs))
+        scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
+        scores[~line] = (self.surrogate.predict_mean_many(locs[~line])
+                         - immediate_cost(locs[~line, -1], self.costs))
         return scores
 
     def announce(self, x: ReducedState) -> bool:
@@ -404,7 +401,7 @@ def build_map(
     sign error in qhat - d, draws n_batch new points multinomially by the
     acquisition weight min(p, 1 - p), simulates and refits, until the design
     holds n_end points. Candidates on the extinct line I1 = 0 carry no sign
-    error, since `extinct_margin` decides them without the surrogate.
+    error (`extinct_margin` decides them): a round of only those draws uniformly.
     Scenario n of iteration t always consumes the random stream derived from
     (master_seed, t, n), so results do not depend on batch scheduling or
     worker count. A scenario starts at its `draw_design` row (integer counts

@@ -14,6 +14,7 @@ from epidetect.cli import main
 from epidetect.solver import DetectionMap
 
 REPO = Path(__file__).resolve().parents[1]
+QUICK_MAP = str(REPO / "out" / "quick_lp" / "maps" / "map_t08.json")  # a map that loads
 
 BASE_CONFIG = {
     "master_seed": 321,
@@ -119,6 +120,22 @@ class TestSolveCommand:
             f"config error: invalid 'srmc' section: {key} must be {supported}, "
             f"the only supported value, got {value!r}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_all_extinct_candidate_round_solves(self, tmp_path):
+        # Pool 1 of 5: some rounds draw their one candidate on I1 = 0, where
+        # no candidate reaches the surrogate, and fall back to uniform draws
+        cfg = write_config(tmp_path, overrides={
+            "master_seed": 7,
+            "epidemic": {"pool_sizes": [5, 5]},
+            "srmc": {"n0": 3, "n_batch": 1, "n_end": 5, "d_candidates": 1, "t_max": 2},
+            "evaluate": {"x0": [3, 2, 0.1]},
+            "simulate": {"x0": [3, 2, 0.1]},
+        })
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        rounds = [rnd for t in (1, 2) for rnd in json.loads(
+            (out / "maps" / f"map_t0{t}.json").read_text())["build_info"]["rounds"]]
+        assert any(rnd["uniform_fallback"] for rnd in rounds)
 
     @staticmethod
     def failing_solve(tmp_path, *flags):
@@ -305,6 +322,9 @@ class TestEvaluateCommand:
         {"kind": "threshold_p", "p_bar": 0.8, "extra": 1},
         {"kind": "map", "path": 5, "name": True},
         {"kind": "map", "path": ["a"]},
+        {"kind": "map", "path": QUICK_MAP, "name": ""},
+        {"kind": "map", "path": QUICK_MAP, "name": "a/b"},
+        {"kind": "map", "path": QUICK_MAP, "name": "a\0b"},
     ])
     def test_bad_policy_entry_is_config_error(self, tmp_path, capsys, entry):
         cfg = write_config(tmp_path, overrides={"evaluate": {"policies": [entry]}})

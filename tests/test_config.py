@@ -254,6 +254,15 @@ class TestValues:
         ({"kind": "map", "path": "m.json", "name": True},
          "invalid policy entry {'kind': 'map', 'path': 'm.json', 'name': True}: "
          "expected a string, got True"),
+        ({"kind": "map", "path": "m.json", "name": ""},
+         "invalid policy entry {'kind': 'map', 'path': 'm.json', 'name': ''}: "
+         "expected a non-empty name without '/' or NUL, got ''"),
+        ({"kind": "map", "path": "m.json", "name": "a/b"},
+         "invalid policy entry {'kind': 'map', 'path': 'm.json', 'name': 'a/b'}: "
+         "expected a non-empty name without '/' or NUL, got 'a/b'"),
+        ({"kind": "map", "path": "m.json", "name": "a\0b"},
+         "invalid policy entry {'kind': 'map', 'path': 'm.json', 'name': 'a\\x00b'}: "
+         "expected a non-empty name without '/' or NUL, got 'a\\x00b'"),
     ])
     def test_bad_policy_entry(self, entry, message):
         rejects(with_("evaluate", policies=[entry]), message)

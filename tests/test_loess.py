@@ -298,6 +298,9 @@ class TestBlockKernel:
             np.testing.assert_array_equal(batch_means, means)
             np.testing.assert_array_equal(batch_stderrs, stderrs)
             np.testing.assert_array_equal(model.predict_mean_many(Q), means)
+            # a block of zero rows gives empty float arrays
+            for out in (*model.predict_many(Q[:0]), model.predict_mean_many(Q[:0])):
+                assert out.shape == (0,) and out.dtype == np.float64
 
     def test_singular_row_among_regular_rows(self, monkeypatch):
         # Pool A lies on x2 = 0, the exact mean of x2 (whose scale is exactly

@@ -659,8 +659,6 @@ class TestExtinctLineAndBoundaries:
     def test_score_locations_query_only_off_line_rows(self, small_lp_map, monkeypatch):
         dmap, _cfg = small_lp_map
         rng = np.random.default_rng(3)
-        locs = np.column_stack([rng.integers(0, 4, 300).astype(float),
-                                rng.uniform(0.0, 0.999, 300)])
         seen = []
         batch = dmap.surrogate.predict_mean_many
 
@@ -669,12 +667,20 @@ class TestExtinctLineAndBoundaries:
             return batch(xs)
 
         monkeypatch.setattr(dmap.surrogate, "predict_mean_many", spy)
-        scores = dmap.score_locations(locs)
-        off = locs[:, 0] != 0.0
-        assert 0 < off.sum() < 300
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], locs[off])
-        np.testing.assert_array_equal(scores, [dmap.score_location(loc) for loc in locs])
+        for i1_range, rows, kinds in [((0, 4), 300, [False, True]),  # mixed
+                                      ((0, 1), 300, [False]),  # every row on the line
+                                      ((1, 4), 300, [True]),   # none on it
+                                      ((0, 4), 0, [])]:        # no rows at all
+            locs = np.column_stack([rng.integers(*i1_range, rows).astype(float),
+                                    rng.uniform(0.0, 0.999, rows)])
+            seen.clear()
+            scores = dmap.score_locations(locs)
+            off = locs[:, 0] != 0.0
+            assert np.unique(off).tolist() == kinds
+            assert len(seen) == 1  # one block of off-line rows, empty or not
+            np.testing.assert_array_equal(seen[0], locs[off])
+            assert scores.shape == (rows,) and scores.dtype == np.float64
+            np.testing.assert_array_equal(scores, [dmap.score_location(loc) for loc in locs])
 
     def test_build_map_scores_only_off_line_candidates(self, small_lp_map, case_params,
                                                        case_costs, monkeypatch):
@@ -697,6 +703,24 @@ class TestExtinctLineAndBoundaries:
                                 root.derive(1, solver.LABEL_DESIGN, rnd),
                                 case_params, ModelVariant.LP2D)
             np.testing.assert_array_equal(rows, cands[cands[:, 0] != 0.0])
+
+    def test_all_extinct_candidate_round_takes_uniform_fallback(self, case_costs):
+        # Pool 1 of 5 puts a lone candidate on I1 = 0 in some rounds: no
+        # candidate has a sign error, so the round draws uniformly
+        params = EpidemicParams(0.75, 0.5, 0.01, (5, 5), sigma_delta=0.01)
+        cfg = SrmcConfig(master_seed=7, n0=3, n_batch=1, n_end=5, d_candidates=1, t_max=2)
+        seq = solve(cfg, params, case_costs, ModelVariant.LP2D)
+        assert seq.iterations == 2
+        box = default_box(params, ModelVariant.LP2D)
+        root = RngStream(cfg.master_seed)
+        extinct = []
+        for t, dmap in enumerate(seq.maps, start=1):
+            for rnd in dmap.build_info["rounds"]:
+                cands = draw_design(box, 1, root.derive(t, solver.LABEL_DESIGN, rnd["round"]),
+                                    params, ModelVariant.LP2D)
+                if cands[0, 0] == 0.0:
+                    extinct.append(rnd["uniform_fallback"])
+        assert extinct and all(extinct)
 
     @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
     def test_trace_matches_line_by_line_bisection(self, variant, small_lp_map,
