@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .costs import immediate_cost
 from .rng import RngStream
 from .sir import outbreak_time, simulate_interval
-from .solver import MAP_COORDS, DetectionMap, lattice, solve
+from .solver import MAP_COORDS, DetectionMap, lattice, solve, surrogate_inputs
 from .strategy import (
     MapPolicy,
     Policy,
@@ -301,7 +301,7 @@ def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
     doc_hash = hashlib.sha256(Path(map_path).read_bytes()).hexdigest()[:16]
 
     grid = lattice(dmap.domain, grid_n)
-    means, stderrs = dmap.surrogate.predict_many(grid)
+    means, stderrs = dmap.surrogate.predict_many(surrogate_inputs(grid))
     # the map's own decision, by the one-stage look-ahead on the extinct line I1 = 0
     announce = dmap.score_locations(grid) > 0.0
     rows = [[*(_fmt(float(v)) for v in loc), _fmt(float(mu)), _fmt(float(se)),

@@ -59,16 +59,32 @@ LABEL_SCENARIO = 0
 LABEL_DESIGN = 1
 LABEL_BATCH = 2
 
-MAP_FORMAT = "epidetect-map/1"
+# Format 2 fits the surrogate on `surrogate_inputs`; format-1 documents were
+# fitted on raw I1, so `from_dict` refuses them.
+MAP_FORMAT = "epidetect-map/2"
 # Next to the `LoessConfig` fields, the `loess` section of a map document
-# records the one fit there is, local-linear tricube loess with the basis
-# size as neighborhood floor; `from_dict` refuses any other value.
-MAP_LOESS_FIXED = {"degree": 1, "min_neighbors": None, "kernel": "tricube"}
+# records the one fit there is, local-linear tricube loess on log1p(I1) with
+# the basis size as neighborhood floor; `from_dict` refuses any other value.
+MAP_LOESS_FIXED = {"degree": 1, "min_neighbors": None, "kernel": "tricube",
+                   "i1_warp": "log1p"}
 
 # The state coordinates a map of each variant reads, in column order. I1 is
 # always second to last and P last, which `on_extinct_line`,
-# `score_locations`, `boundary_trace` and `build_map` rely on.
+# `score_locations`, `boundary_trace`, `build_map` and `surrogate_inputs`
+# rely on.
 MAP_COORDS = {ModelVariant.FULL3D: ("s1", "i1", "p"), ModelVariant.LP2D: ("i1", "p")}
+
+
+def surrogate_inputs(locs) -> np.ndarray:
+    """Surrogate inputs of map locations: a copy with I1 replaced by log1p(I1).
+
+    The boundary is close to linear in log1p(I1) next to extinction, where it
+    bends too fast in I1 for a local-linear fit. Every surrogate fit and
+    query goes through this warp; the map keeps its locations raw.
+    """
+    inputs = np.array(locs, dtype=float)
+    inputs[..., -2] = np.log1p(inputs[..., -2])
+    return inputs
 
 
 @dataclass(frozen=True)
@@ -185,11 +201,14 @@ class DetectionMap:
     A location is announced where qhat - d > 0: the surrogate decides off
     the extinct line, and the exact one-stage look-ahead `extinct_margin`
     decides on I1 = 0. For a map of iteration t >= 2 that rule announces on
-    I1 = 0 earlier than the t-stage optimum would.
+    I1 = 0 earlier than the t-stage optimum would. `locations` holds the
+    design in map coordinates; `surrogate` is fitted on their
+    `surrogate_inputs` and is queried the same way.
     """
 
     def __init__(
         self,
+        locations: np.ndarray,
         surrogate: LoessModel,
         costs: CostParams,
         variant: ModelVariant,
@@ -199,6 +218,7 @@ class DetectionMap:
         master_seed: int,
         build_info: Optional[dict] = None,
     ):
+        self.locations = locations
         self.surrogate = surrogate
         self.costs = costs
         self.variant = ModelVariant(variant)
@@ -223,7 +243,7 @@ class DetectionMap:
         line = on_extinct_line(locs)
         scores = np.empty(locs.shape[0])
         scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
-        scores[~line] = (self.surrogate.predict_mean_many(locs[~line])
+        scores[~line] = (self.surrogate.predict_mean_many(surrogate_inputs(locs[~line]))
                          - immediate_cost(locs[~line, -1], self.costs))
         return scores
 
@@ -243,7 +263,7 @@ class DetectionMap:
             "loess": {**asdict(self.surrogate.config), **MAP_LOESS_FIXED},
             "domain": asdict(self.domain),
             "design": {
-                "locations": self.surrogate.inputs.tolist(),
+                "locations": self.locations.tolist(),
                 "responses": self.surrogate.responses.tolist(),
             },
             "build_info": self.build_info,
@@ -252,18 +272,21 @@ class DetectionMap:
     @classmethod
     def from_dict(cls, doc: dict) -> "DetectionMap":
         if doc.get("format") != MAP_FORMAT:
-            raise ValueError(f"unsupported map document format: {doc.get('format')!r}")
+            raise ValueError(f"unsupported map document format: {doc.get('format')!r} "
+                             f"(this version reads {MAP_FORMAT!r}; re-run solve)")
         loess = dict(doc["loess"])
         for key, fixed in MAP_LOESS_FIXED.items():
             if (value := loess.pop(key, fixed)) != fixed:
                 raise ValueError(f"unsupported map loess {key} {value!r}: "
                                  f"only {fixed!r} is fitted")
+        locations = np.array(doc["design"]["locations"], dtype=float)
         surrogate = loess_fit(
-            np.array(doc["design"]["locations"], dtype=float),
+            surrogate_inputs(locations),
             np.array(doc["design"]["responses"], dtype=float),
             LoessConfig(**loess),
         )
         return cls(
+            locations=locations,
             surrogate=surrogate,
             costs=CostParams(**doc["costs"]),
             variant=ModelVariant(doc["variant"]),
@@ -426,7 +449,7 @@ def build_map(
 
     design = draw_design(box, config.n0, root.derive(t, LABEL_DESIGN, 0), params, variant)
     responses = simulate_block(design, 0)
-    model = loess_fit(design, responses, config.loess)
+    model = loess_fit(surrogate_inputs(design), responses, config.loess)
 
     rounds: list[dict] = []
     n = config.n0
@@ -437,7 +460,7 @@ def build_map(
         )
         # extinct_margin decides the extinct line exactly: no sign error there
         off = ~on_extinct_line(cands)
-        mu, se = model.predict_many(cands[off])
+        mu, se = model.predict_many(surrogate_inputs(cands[off]))
         pb = np.zeros(cands.shape[0])
         pb[off] = boundary_probability(mu, se, immediate_cost(cands[off, -1], costs))
         weights = acquisition_weight(pb)
@@ -448,7 +471,7 @@ def build_map(
         new_resp = simulate_block(new_locs, n)
         design = np.vstack([design, new_locs])
         responses = np.concatenate([responses, new_resp])
-        model = loess_fit(design, responses, config.loess)
+        model = loess_fit(surrogate_inputs(design), responses, config.loess)
         rounds.append({
             "round": rnd,
             "added": int(config.n_batch),
@@ -461,6 +484,7 @@ def build_map(
         rnd += 1
 
     return DetectionMap(
+        locations=design,
         surrogate=model,
         costs=costs,
         variant=variant,

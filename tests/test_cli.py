@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epidetect.cli import main
-from epidetect.solver import DetectionMap
+from epidetect.solver import DetectionMap, surrogate_inputs
 
 REPO = Path(__file__).resolve().parents[1]
 QUICK_MAP = str(REPO / "out" / "quick_lp" / "maps" / "map_t08.json")  # a map that loads
@@ -571,10 +571,8 @@ class TestExportMap:
         reloaded = DetectionMap.load(map_path)
         rng = np.random.default_rng(5)
         grid = np.column_stack([rng.uniform(0, 400, 1000), rng.uniform(0, 0.999, 1000)])
-        assert np.array_equal(
-            original.surrogate.predict_mean_many(grid),
-            reloaded.surrogate.predict_mean_many(grid),
-        )
+        assert original.score_locations(grid).tobytes() == \
+            reloaded.score_locations(grid).tobytes()
 
     def test_export_grid_csv(self, solved, tmp_path):
         _tp, _cfg, out = solved
@@ -591,7 +589,8 @@ class TestExportMap:
         assert set(rows[0]) == {"i1", "p", "qhat", "stderr", "d", "announce"}
         dmap = DetectionMap.load(map_path)
         grid = np.array([[float(row["i1"]), float(row["p"])] for row in rows])
-        means, stderrs = dmap.surrogate.predict_many(grid)
+        # the surrogate reads the map's own warped coordinates
+        means, stderrs = dmap.surrogate.predict_many(surrogate_inputs(grid))
         announce = dmap.score_locations(grid) > 0.0
         for row, mu, se, a in zip(rows, means, stderrs, announce):
             assert float(row["qhat"]) == mu
@@ -670,7 +669,7 @@ class TestMapDocument:
         assert rc == 3
 
     @pytest.mark.parametrize("key, value", [("degree", 2), ("kernel", "uniform"),
-                                            ("min_neighbors", 3)])
+                                            ("min_neighbors", 3), ("i1_warp", None)])
     def test_loess_other_than_local_linear_tricube_is_refused(self, tmp_path, capsys,
                                                               key, value):
         doc = json.loads((REPO / "out" / "quick_lp" / "maps" / "map_t08.json").read_text())
@@ -682,6 +681,20 @@ class TestMapDocument:
         map_path.write_text(json.dumps(doc))
         assert main(["export-map", "--map", str(map_path), "--out", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_format_1_document_is_refused(self, tmp_path, capsys):
+        """Format-1 maps were fitted on raw I1: read as log1p(I1) they would mislead."""
+        doc = json.loads((REPO / "out" / "quick_lp" / "maps" / "map_t08.json").read_text())
+        doc["format"] = "epidetect-map/1"
+        del doc["loess"]["i1_warp"]
+        message = ("unsupported map document format: 'epidetect-map/1' "
+                   "(this version reads 'epidetect-map/2'; re-run solve)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectionMap.from_dict(doc)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["export-map", "--map", str(map_path), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_sigma_delta_takes_the_default(self, solved, tmp_path, capsys):
         _tp, cfg, out = solved

@@ -29,6 +29,7 @@ from epidetect.solver import (
     extinct_margin,
     path_and_cost,
     run_scenarios,
+    surrogate_inputs,
     trace_distance,
 )
 
@@ -213,9 +214,9 @@ class TestScenarioStarts:
                          d_candidates=1, t_max=1)
         dmap = build_map(1, [], cfg, case_params, case_costs, ModelVariant(variant))
         s1, i1, p = (np.concatenate(col) for col in zip(*seen))
-        assert dmap.surrogate.inputs.shape[0] == s1.size == 500
+        assert dmap.locations.shape[0] == s1.size == 500
         expected = [state_from_location(loc, variant, case_params)
-                    for loc in dmap.surrogate.inputs]
+                    for loc in dmap.locations]
         np.testing.assert_array_equal(s1, [x.s1 for x in expected])
         np.testing.assert_array_equal(i1, [x.i1 for x in expected])
         np.testing.assert_array_equal(p, [x.p for x in expected])
@@ -337,6 +338,24 @@ class TestBuildMap:
         assert dmap.surrogate.n_points == cfg.n_end
         assert len(dmap.build_info["rounds"]) == (cfg.n_end - cfg.n0) // cfg.n_batch
 
+    def test_surrogate_inputs_warp_i1_only(self):
+        locs = np.array([[1990.0, 0.0, 0.2], [1500.0, 7.5, 0.9], [1000.0, 400.0, 0.0]])
+        kept = locs.copy()
+        warped = surrogate_inputs(locs)
+        np.testing.assert_array_equal(locs, kept)  # a copy: the locations stay raw
+        np.testing.assert_array_equal(warped[:, -2], np.log1p(locs[:, -2]))
+        np.testing.assert_array_equal(warped[:, [0, 2]], locs[:, [0, 2]])
+        assert surrogate_inputs(np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
+    def test_surrogate_is_fitted_on_warped_locations(self, variant, small_lp_map,
+                                                     small_full_map):
+        dmap = small_lp_map[0] if variant == "lp2d" else small_full_map
+        assert dmap.locations.shape == dmap.surrogate.inputs.shape
+        assert dmap.surrogate.inputs.tobytes() == surrogate_inputs(dmap.locations).tobytes()
+        assert dmap.to_dict()["design"]["locations"] == dmap.locations.tolist()
+        assert dmap.to_dict()["loess"]["i1_warp"] == "log1p"
+
     def test_determinism_same_seed(self, case_params, case_costs):
         cfg = SrmcConfig(master_seed=505, n0=60, n_batch=30, n_end=120,
                          d_candidates=100, t_max=1)
@@ -376,9 +395,11 @@ class TestBuildMap:
         grid = np.column_stack([
             rng.uniform(0, 400, 1000), rng.uniform(0, 0.999, 1000)
         ])
-        a = dmap.surrogate.predict_mean_many(grid)
-        b = loaded.surrogate.predict_mean_many(grid)
-        assert np.array_equal(a, b)
+        a = dmap.score_locations(grid)
+        b = loaded.score_locations(grid)
+        assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(loaded.locations, dmap.locations)
+        assert loaded.surrogate.inputs.tobytes() == dmap.surrogate.inputs.tobytes()
         assert loaded.to_dict() == dmap.to_dict()
 
     def test_announce_consistent_with_score(self, small_lp_map):
@@ -424,7 +445,7 @@ class TestStageBatchedScenarios:
 
     def assert_responses_match(self, dmap, t, maps, cfg, params, costs):
         root = RngStream(cfg.master_seed)
-        locs, responses = dmap.surrogate.inputs, dmap.surrogate.responses
+        locs, responses = dmap.locations, dmap.surrogate.responses
         assert locs.shape[0] == cfg.n_end
         taus = []
         for j, loc in enumerate(locs):
@@ -592,7 +613,7 @@ class TestSolve:
         d = case_costs.c_fa * (1.0 - grid[:, -1])
         means = []
         for dmap in seq.maps:
-            v = np.minimum(d, dmap.surrogate.predict_mean_many(grid))
+            v = np.minimum(d, dmap.surrogate.predict_mean_many(surrogate_inputs(grid)))
             means.append(float(v.mean()))
         assert means[-1] < means[0]  # overall improvement
         for prev, cur in zip(means, means[1:]):
@@ -678,7 +699,7 @@ class TestExtinctLineAndBoundaries:
             off = locs[:, 0] != 0.0
             assert np.unique(off).tolist() == kinds
             assert len(seen) == 1  # one block of off-line rows, empty or not
-            np.testing.assert_array_equal(seen[0], locs[off])
+            np.testing.assert_array_equal(seen[0], surrogate_inputs(locs[off]))
             assert scores.shape == (rows,) and scores.dtype == np.float64
             np.testing.assert_array_equal(scores, [dmap.score_location(loc) for loc in locs])
 
@@ -702,7 +723,7 @@ class TestExtinctLineAndBoundaries:
             cands = draw_design(box, cfg.d_candidates,
                                 root.derive(1, solver.LABEL_DESIGN, rnd),
                                 case_params, ModelVariant.LP2D)
-            np.testing.assert_array_equal(rows, cands[cands[:, 0] != 0.0])
+            np.testing.assert_array_equal(rows, surrogate_inputs(cands[cands[:, 0] != 0.0]))
 
     def test_all_extinct_candidate_round_takes_uniform_fallback(self, case_costs):
         # Pool 1 of 5 puts a lone candidate on I1 = 0 in some rounds: no
