@@ -8,13 +8,16 @@ i.i.d. noise and is clamped to [0, 1]; P = 1 is absorbing.
 
 A 2-D large-population variant drops S1 and advances I1 as a linear
 birth-death (branching) process with birth rate beta * I1 and death rate
-gamma * I1, which is accurate while S1 / M1 is close to one.
+gamma * I1, which is accurate while S1 / M1 is close to one. Its law over a
+stage has a closed form (Kendall 1948), so a stage is one exact draw at any
+I1 instead of one draw per birth or death.
 
 `step` advances plain numbers; `solver.run_scenarios` keeps the states of
 a block of paths in arrays. `ReducedState` is only the checked start state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,26 +54,31 @@ def drift(i1: int, p: float, params: EpidemicParams) -> float:
     return params.alpha * params.beta * i1 * (1.0 - p)
 
 
-def _branching_unit(i: int, beta: float, gamma: float, duration: float, gen) -> int:
-    """Linear birth-death process over `duration`.
+def branching_law(beta: float, gamma: float, duration: float) -> tuple[float, float]:
+    """(a, b) of the linear birth-death process over `duration` (Kendall 1948).
 
-    Each event draws one scalar exponential and then one scalar uniform;
-    the SIR kernels draw theirs in chunks instead.
+    One ancestor leaves no descendant with probability a; otherwise it leaves
+    a geometric number n >= 1 of them, P(n) = (1 - b) b^(n - 1). With
+    tau = expm1((beta - gamma) t) / (beta - gamma), or tau = t when
+    beta = gamma, a = gamma tau / (1 + beta tau) and b = beta tau / (1 + beta tau).
     """
-    t = 0.0
-    next_exp = gen.standard_exponential
-    next_u = gen.random
-    while i > 0:
-        r_birth = beta * i
-        total = r_birth + gamma * i
-        t += next_exp() / total
-        if t > duration:
-            break
-        if next_u() * total < r_birth:
-            i += 1
-        else:
-            i -= 1
-    return i
+    rate = beta - gamma
+    tau = math.expm1(rate * duration) / rate if rate != 0.0 else duration
+    return gamma * tau / (1.0 + beta * tau), beta * tau / (1.0 + beta * tau)
+
+
+def _branching_unit(i: int, beta: float, gamma: float, duration: float, gen) -> int:
+    """Linear birth-death process over `duration` from `i` ancestors, in one exact draw.
+
+    K ~ Bin(i, 1 - a) ancestors leave descendants, and K geometric families
+    on n >= 1 sum to K + NegBin(K, 1 - b), with (a, b) from `branching_law`.
+    I1 = 0, and K = 0, draw nothing further.
+    """
+    if i == 0:
+        return 0
+    a, b = branching_law(beta, gamma, duration)
+    k = gen.binomial(i, 1.0 - a)
+    return k + gen.negative_binomial(k, 1.0 - b) if k > 0 else 0
 
 
 def step(s1: int, i1: int, p: float, params: EpidemicParams, variant: ModelVariant,

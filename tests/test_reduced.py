@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from epidetect import (
     RngStream,
     simulate_paths,
 )
-from epidetect.reduced import drift
+from epidetect.reduced import _branching_unit, branching_law, drift
 from epidetect.reduced import step as step_counts
 
 
@@ -58,6 +60,126 @@ class TestDrift:
         base = drift(50, 0.4, case_params)
         assert drift(80, 0.4, case_params) > base
         assert drift(50, 0.6, case_params) < base
+
+
+def event_loop_unit(i: int, beta: float, gamma: float, duration: float, gen) -> int:
+    """Reference sampler: the linear birth-death process simulated event by event.
+
+    Each event draws one scalar exponential and then one scalar uniform.
+    """
+    t = 0.0
+    next_exp = gen.standard_exponential
+    next_u = gen.random
+    while i > 0:
+        r_birth = beta * i
+        total = r_birth + gamma * i
+        t += next_exp() / total
+        if t > duration:
+            break
+        if next_u() * total < r_birth:
+            i += 1
+        else:
+            i -= 1
+    return i
+
+
+class CallLog:
+    """A generator that records the names of the draws made through it."""
+
+    def __init__(self, seed: int):
+        self._gen = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        draw = getattr(self._gen, name)
+
+        def logged(*args):
+            self.calls.append(name)
+            return draw(*args)
+
+        return logged
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance between integer samples."""
+    support = np.union1d(a, b)
+    cdf_a = np.searchsorted(np.sort(a), support, side="right") / len(a)
+    cdf_b = np.searchsorted(np.sort(b), support, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+class TestBranchingLaw:
+    """The one-stage law of the lp2d Pool-1 count and its exact draw."""
+
+    def test_case_study_rates(self, case_params):
+        a, b = branching_law(case_params.beta, case_params.gamma, 1.0)
+        assert a == pytest.approx(0.3067, abs=5e-5)
+        assert b == pytest.approx(0.4601, abs=5e-5)
+
+    @pytest.mark.parametrize("beta, gamma, t", [(0.75, 0.5, 1.0), (0.5, 0.75, 1.0),
+                                                (0.75, 0.5, 2.5), (0.3, 1.2, 0.7)])
+    def test_matches_the_textbook_form(self, beta, gamma, t):
+        """a = gamma (e^rt - 1) / (beta e^rt - gamma), b = beta (e^rt - 1) / (beta e^rt - gamma),
+        and the mean (1 - a) / (1 - b) of one ancestor's line is e^rt, r = beta - gamma."""
+        growth = math.exp((beta - gamma) * t)
+        a, b = branching_law(beta, gamma, t)
+        assert a == pytest.approx(gamma * (growth - 1) / (beta * growth - gamma), rel=1e-12)
+        assert b == pytest.approx(beta * (growth - 1) / (beta * growth - gamma), rel=1e-12)
+        assert (1 - a) / (1 - b) == pytest.approx(growth, rel=1e-12)
+
+    def test_equal_rates(self):
+        a, b = branching_law(0.6, 0.6, 2.0)
+        assert a == b == pytest.approx(1.2 / 2.2, rel=1e-15)
+        # continuous across beta = gamma
+        near = branching_law(0.6 + 1e-9, 0.6, 2.0)
+        assert near == pytest.approx((a, b), abs=1e-8)
+
+    def test_no_time_no_change(self):
+        assert branching_law(0.75, 0.5, 0.0) == (0.0, 0.0)
+        gen = np.random.default_rng(4)
+        assert [_branching_unit(i, 0.75, 0.5, 0.0, gen) for i in (1, 7, 300)] == [1, 7, 300]
+
+    @pytest.mark.parametrize("i", [1, 10, 100])
+    def test_moments_and_extinction(self, case_params, i):
+        beta, gamma, n = case_params.beta, case_params.gamma, 40_000
+        gen = np.random.default_rng([7, i])
+        draws = np.array([_branching_unit(i, beta, gamma, 1.0, gen) for _ in range(n)])
+        growth = math.exp(beta - gamma)
+        mean = i * growth
+        var = i * (beta + gamma) / (beta - gamma) * growth * (growth - 1)
+        assert abs(draws.mean() - mean) < 5 * math.sqrt(var / n)
+        central4 = np.mean((draws - draws.mean()) ** 4)
+        assert abs(draws.var(ddof=1) - var) < 5 * math.sqrt((central4 - var ** 2) / n)
+        extinct = branching_law(beta, gamma, 1.0)[0] ** i
+        freq = np.mean(draws == 0)
+        assert abs(freq - extinct) < 5 * math.sqrt(extinct * (1 - extinct) / n) + 1 / n
+
+    @pytest.mark.parametrize("i", [1, 10, 40])
+    def test_same_law_as_the_event_loop(self, case_params, i):
+        beta, gamma, n = case_params.beta, case_params.gamma, 10_000
+        exact = np.random.default_rng([8, i])
+        loop = np.random.default_rng([9, i])
+        a = [_branching_unit(i, beta, gamma, 1.0, exact) for _ in range(n)]
+        b = [event_loop_unit(i, beta, gamma, 1.0, loop) for _ in range(n)]
+        # KS critical distance at level 1e-3, conservative for discrete samples
+        assert ks_statistic(a, b) < math.sqrt(-math.log(5e-4) / 2) * math.sqrt(2 / n)
+
+    def test_draws(self, case_params):
+        beta, gamma = case_params.beta, case_params.gamma
+        gen = np.random.default_rng(12)
+        state = gen.bit_generator.state
+        assert _branching_unit(0, beta, gamma, 1.0, gen) == 0
+        assert gen.bit_generator.state == state  # I1 = 0 draws nothing
+        seen = set()
+        for seed in range(40):
+            log = CallLog(seed)
+            i1 = _branching_unit(1, beta, gamma, 1.0, log)
+            assert type(i1) is int
+            # K = 0 stops after the binomial; K = 1 adds one negative binomial
+            assert log.calls == (["binomial"] if i1 == 0
+                                 else ["binomial", "negative_binomial"])
+            seen.add(i1 == 0)
+        assert seen == {True, False}
 
 
 class TestStep:
