@@ -1,7 +1,8 @@
 """Sequential regression Monte Carlo solver for the detection problem.
 
 The solver builds one detection map per forward-time iteration t. A map is
-a loess surrogate qhat(t, .) for the costs-to-go of waiting one more stage;
+a loess surrogate qhat(t, .) for the costs-to-go of waiting one more stage,
+fitted and queried on `surrogate_inputs`, where I1 reads as log1p(I1);
 announcing is optimal wherever qhat exceeds the immediate false-alarm cost.
 The one exception is the extinct line I1 = 0, where Pool 1 has died out:
 there the sign of qhat - d is decided by the exact one-stage look-ahead
