@@ -11,6 +11,15 @@ flushes its std streams before forking, so a child inherits empty buffers
 and flushes only what it wrote itself. The caller then reads the pipes in
 index order and reaps every child before it returns or raises.
 
+A call forks only when every process gets at least `_MIN_PER_WORKER`
+(256) items; smaller calls run in the caller. Measured on a 2-core
+machine, a trivial fork-join costs 2.3 ms, and the parent's half-span
+runs about as long as the whole serial span (copy-on-write faults on both
+sides). So a 150-scenario lp2d solve span took 3.2-5.9 ms in one process
+against 5.8-10.0 ms in two, and 200-scenario full3d solve spans gained
+under 10 %, while the 1000-path full3d evaluation still roughly halves
+(0.87 against 0.46 s).
+
 Each simulated scenario owns its random stream, so a result never depends
 on which span holds its index or on how many processes share the work.
 Without `os.fork` every call runs serially.
@@ -29,7 +38,7 @@ from typing import BinaryIO, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-_MIN_PER_WORKER = 16  # below this, a fork costs more than the span saves
+_MIN_PER_WORKER = 256  # below this, a fork costs more than the span saves
 
 
 class WorkerTraceback(Exception):
@@ -51,10 +60,13 @@ def indexed_map(fn: Callable[[int, int], Sequence[T]], count: int,
     """The results for items 0..count-1, computed span by span.
 
     `fn(lo, hi)` returns the hi - lo results of items lo..hi-1. The call
-    uses `min(workers, count // 16)` processes, itself included, one
-    contiguous span each; a serial run is one span. Results are returned
-    in index order and are identical for any worker count as long as item
-    i is self-contained (draws only from streams derived from i).
+    uses `min(workers, count // 256)` processes, itself included, one
+    contiguous span each; a serial run is one span. Below 256 items per
+    process, the fork, the child's start-up and the copy-on-write faults
+    cost more than the split saves (measured in the module docstring).
+    Results are returned in index order and are identical for any worker
+    count as long as item i is self-contained (draws only from streams
+    derived from i).
     """
     if count <= 0:
         return []

@@ -2,6 +2,8 @@ import pytest
 
 from epidetect import CostParams, EpidemicParams, ReducedState
 
+from .forking import forked_spans
+
 
 @pytest.fixture(scope="session")
 def case_params() -> EpidemicParams:
@@ -19,3 +21,10 @@ def case_costs() -> CostParams:
 @pytest.fixture(scope="session")
 def case_x0() -> ReducedState:
     return ReducedState(1990, 10, 0.1)
+
+
+@pytest.fixture
+def forks():
+    """Spans forked during the test, with the fork floor lowered to 16."""
+    with forked_spans() as spans:
+        yield spans

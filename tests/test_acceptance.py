@@ -31,6 +31,7 @@ from epidetect.sir import simulate_interval
 from epidetect.solver import build_map, path_and_cost, trace_distance
 from epidetect.strategy import ThresholdT
 
+from .forking import forked_spans
 from .sir_oracle import transition_rates
 from .test_loess import dense_wls_oracle
 from .test_solver import boundary_in_p
@@ -290,13 +291,15 @@ def test_criterion_6_property_bundle(solved_lp2d):
     # bit-identical reruns under a fixed seed, serial and parallel
     cfg = SrmcConfig(master_seed=66, n0=64, n_batch=64, n_end=128,
                      d_candidates=150, t_max=2, tol=0.0)
-    runs = [
-        solve(cfg, CASE_PARAMS, costs, ModelVariant.LP2D, workers=w)
-        for w in (1, 1, 2)
-    ]
+    with forked_spans() as forks:
+        runs = [
+            solve(cfg, CASE_PARAMS, costs, ModelVariant.LP2D, workers=w)
+            for w in (1, 1, 2)
+        ]
     docs = [[m.to_dict() for m in run.maps] for run in runs]
     c.check("bit-identical rerun (serial)", docs[0] == docs[1])
     c.check("bit-identical rerun (2 workers)", docs[0] == docs[2])
+    c.check("the 2-worker rerun forked", bool(forks))
 
     # fitted maps announce wherever the outbreak is certain
     seq, _ = solved_lp2d

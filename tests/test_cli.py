@@ -74,11 +74,13 @@ class TestSolveCommand:
         prov = read_provenance(out / "boundaries.csv")
         assert "master_seed=321" in prov and "config_hash=" in prov
 
-    def test_solve_byte_identical_reruns(self, tmp_path):
+    def test_solve_byte_identical_reruns(self, tmp_path, forks):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["solve", "--config", str(cfg), "--out", str(out_a), "--workers", "1"]) == 0
+        assert forks == []
         assert main(["solve", "--config", str(cfg), "--out", str(out_b), "--workers", "2"]) == 0
+        assert forks
         for rel in ("maps/map_t01.json", "maps/map_t02.json", "boundaries.csv"):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
@@ -441,7 +443,7 @@ class TestSimulateCommand:
             (out_b / "trajectories.csv").read_bytes()
         assert (out_a / "two_pool.csv").read_bytes() == (out_b / "two_pool.csv").read_bytes()
 
-    def test_two_pool_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+    def test_two_pool_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch, forks):
         from epidetect import parallel
 
         calls = []
@@ -462,6 +464,7 @@ class TestSimulateCommand:
         assert (out_a / "two_pool.csv").read_bytes() == (out_b / "two_pool.csv").read_bytes()
         # reduced paths, then the ground truth, each at the run's worker count
         assert calls == [(40, 1), (40, 1), (40, 2), (40, 2)]
+        assert len(forks) == 2
 
     def test_two_pool_alpha_zero_never_infects_pool2(self, tmp_path):
         cfg = write_config(

@@ -11,6 +11,8 @@ from epidetect import parallel
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
+FLOOR = parallel._MIN_PER_WORKER  # the fewest items a forked process gets
+
 
 @pytest.fixture(autouse=True)
 def no_child_survives():
@@ -28,25 +30,28 @@ def pids(lo, hi):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 151])
+@pytest.mark.parametrize("count", [0, 1, 2 * FLOOR - 1, 2 * FLOOR, 2 * FLOOR + 1,
+                                   9 * FLOOR + 7])
 def test_index_order_matches_serial(workers, count):
     out = parallel.indexed_map(draws, count, workers)
     assert len(out) == count
     for got, want in zip(out, draws(0, count)):
         assert np.array_equal(got, want)
     by_pid = parallel.indexed_map(pids, count, workers)
-    assert len(set(by_pid)) == min(count, max(1, min(workers, count // 16)))
+    assert len(set(by_pid)) == min(count, max(1, min(workers, count // FLOOR)))
     assert by_pid[:1] == [os.getpid()][:count]  # the caller runs the first span
 
 
 def test_results_larger_than_a_pipe_buffer():
-    def big(lo, hi):
-        return [np.full(20_000, float(i)) for i in range(lo, hi)]
+    size = 320_000 // FLOOR  # a span sends 2.56 MB whatever the floor
 
-    out = parallel.indexed_map(big, 48, 3)
-    assert sum(a.nbytes for a in out[16:32]) > 64 * 1024
+    def big(lo, hi):
+        return [np.full(size, float(i)) for i in range(lo, hi)]
+
+    out = parallel.indexed_map(big, 3 * FLOOR, 3)
+    assert sum(a.nbytes for a in out[FLOOR:2 * FLOOR]) > 64 * 1024
     for i, a in enumerate(out):
-        assert np.array_equal(a, np.full(20_000, float(i)))
+        assert np.array_equal(a, np.full(size, float(i)))
 
 
 def test_worker_exception_keeps_its_type_and_traceback():
@@ -55,8 +60,8 @@ def test_worker_exception_keeps_its_type_and_traceback():
             raise ValueError(f"bad span {lo}")
         return list(range(lo, hi))
 
-    with pytest.raises(ValueError, match="bad span 16") as info:
-        parallel.indexed_map(fail_in_worker, 48, 3)
+    with pytest.raises(ValueError, match=f"bad span {FLOOR}") as info:
+        parallel.indexed_map(fail_in_worker, 3 * FLOOR, 3)
     cause = info.value.__cause__
     assert isinstance(cause, parallel.WorkerTraceback)
     assert "Traceback (most recent call last)" in str(cause)
@@ -73,18 +78,18 @@ def test_unpicklable_exception_becomes_runtime_error():
         return list(range(lo, hi))
 
     with pytest.raises(RuntimeError, match="worker 1 raised") as info:
-        parallel.indexed_map(fail_in_worker, 32, 2)
+        parallel.indexed_map(fail_in_worker, 2 * FLOOR, 2)
     assert "Local: only here" in str(info.value)
 
 
 def test_worker_that_exits_names_worker_and_status():
     def exit_in_last(lo, hi):
-        if lo == 32:
+        if lo == 2 * FLOOR:
             os._exit(7)
         return list(range(lo, hi))
 
     with pytest.raises(RuntimeError, match=r"worker 2 .*\(exit status 7\)"):
-        parallel.indexed_map(exit_in_last, 48, 3)
+        parallel.indexed_map(exit_in_last, 3 * FLOOR, 3)
 
 
 def test_worker_killed_by_a_signal():
@@ -94,7 +99,7 @@ def test_worker_killed_by_a_signal():
         return list(range(lo, hi))
 
     with pytest.raises(RuntimeError, match=rf"worker 1 .*\(signal {signal.SIGKILL:d}\)"):
-        parallel.indexed_map(killed, 32, 2)
+        parallel.indexed_map(killed, 2 * FLOOR, 2)
 
 
 def test_caller_failure_kills_and_reaps_the_children():
@@ -106,7 +111,7 @@ def test_caller_failure_kills_and_reaps_the_children():
 
     start = time.monotonic()
     with pytest.raises(KeyError):
-        parallel.indexed_map(caller_fails, 48, 3)
+        parallel.indexed_map(caller_fails, 3 * FLOOR, 3)
     assert time.monotonic() - start < 30
 
 
@@ -120,15 +125,25 @@ def test_buffered_stdout_is_printed_once(tmp_path, monkeypatch):
             print(f"span {lo}")
             return list(range(lo, hi))
 
-        assert parallel.indexed_map(spans, 48, 3) == list(range(48))
+        assert parallel.indexed_map(spans, 3 * FLOOR, 3) == list(range(3 * FLOOR))
         monkeypatch.undo()
     lines = path.read_text().splitlines()
-    assert sorted(lines) == ["span 0", "span 16", "span 32", "written before the call"]
+    assert sorted(lines) == sorted(["span 0", f"span {FLOOR}", f"span {2 * FLOOR}",
+                                    "written before the call"])
 
 
 def test_serial_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    assert parallel.indexed_map(pids, 64, 3) == [os.getpid()] * 64
+    assert parallel.indexed_map(pids, 4 * FLOOR, 3) == [os.getpid()] * (4 * FLOOR)
+
+
+def test_production_floor_at_two_workers():
+    """One process below 2 x 256 items, two from there on."""
+    assert FLOOR == 256
+    assert set(parallel.indexed_map(pids, 2 * FLOOR - 1, 2)) == {os.getpid()}
+    by_pid = parallel.indexed_map(pids, 2 * FLOOR, 2)
+    assert by_pid == [os.getpid()] * FLOOR + [by_pid[-1]] * FLOOR
+    assert by_pid[-1] != os.getpid()
 
 
 def test_default_workers_counts_the_affinity_mask(monkeypatch):

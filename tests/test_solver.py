@@ -33,6 +33,8 @@ from epidetect.solver import (
     trace_distance,
 )
 
+from .forking import forked_spans
+
 NO_NOISE = EpidemicParams(0.75, 0.5, 0.01, (2000, 2000), sigma_delta=0.0)
 
 
@@ -363,13 +365,15 @@ class TestBuildMap:
         b = build_map(1, [], cfg, case_params, case_costs, ModelVariant.LP2D)
         assert a.to_dict() == b.to_dict()
 
-    def test_parallel_workers_bit_identical(self, case_params, case_costs):
+    def test_parallel_workers_bit_identical(self, case_params, case_costs, forks):
         cfg = SrmcConfig(master_seed=506, n0=64, n_batch=64, n_end=128,
                          d_candidates=100, t_max=1)
         serial = build_map(1, [], cfg, case_params, case_costs, ModelVariant.LP2D,
                            workers=1)
+        assert forks == []
         forked = build_map(1, [], cfg, case_params, case_costs, ModelVariant.LP2D,
                            workers=2)
+        assert forks
         assert serial.to_dict() == forked.to_dict()
 
     def test_config_validation(self):
@@ -432,8 +436,11 @@ def map_sequence(request, case_params, case_costs):
                      d_candidates=150, t_max=3)
     variant = ModelVariant(request.param)
     maps = []
-    for t in (1, 2, 3):
-        maps.append(build_map(t, maps, cfg, case_params, case_costs, variant, workers=2))
+    with forked_spans() as forks:
+        for t in (1, 2, 3):
+            maps.append(build_map(t, maps, cfg, case_params, case_costs, variant,
+                                  workers=2))
+    assert forks
     return cfg, maps
 
 
@@ -468,11 +475,13 @@ class TestStageBatchedScenarios:
         if t > 1:
             assert np.any(taus < t)  # some scenarios stop on a map
 
-    def test_receding_horizon_responses(self, map_sequence, case_params, case_costs):
+    def test_receding_horizon_responses(self, map_sequence, case_params, case_costs,
+                                        forks):
         cfg, maps = map_sequence
         mpc_cfg = dataclasses.replace(cfg, mpc_switch=2)
         dmap = build_map(3, maps[:2], mpc_cfg, case_params, case_costs,
                          maps[0].variant, workers=2)
+        assert forks
         self.assert_responses_match(dmap, 3, maps[:2], mpc_cfg, case_params, case_costs)
         # stage 2 asks map 2, not map 1, so the design and its responses differ
         assert dmap.to_dict()["design"] != maps[2].to_dict()["design"]

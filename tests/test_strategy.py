@@ -166,11 +166,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             simulate_paths(case_x0, 5, 0, case_params, ModelVariant.FULL3D, RngStream(1))
 
-    def test_worker_count_does_not_change_paths(self, case_params, case_x0):
+    def test_worker_count_does_not_change_paths(self, case_params, case_x0, forks):
         serial = simulate_paths(case_x0, 80, 10, case_params, ModelVariant.FULL3D,
                                 RngStream(17).derive(0, 0), workers=1)
+        assert forks == []
         forked = simulate_paths(case_x0, 80, 10, case_params, ModelVariant.FULL3D,
                                 RngStream(17).derive(0, 0), workers=2)
+        assert forks
         for name in ("s1", "i1", "p"):
             assert np.array_equal(getattr(serial, name), getattr(forked, name)), name
 
@@ -255,7 +257,7 @@ class TestDemandDrivenPaths:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("layout", ["lp2d", "full3d"])
     def test_same_outcomes_as_full_horizon(self, layout, workers, lp_map, full_map,
-                                           case_params, case_x0, case_costs):
+                                           case_params, case_x0, case_costs, forks):
         variant = ModelVariant(layout)
         policies = [MapPolicy(lp_map if layout == "lp2d" else full_map),
                     ThresholdP(0.8), ThresholdT(8)]
@@ -263,6 +265,7 @@ class TestDemandDrivenPaths:
         full = simulate_paths(case_x0, 64, 20, case_params, variant, rng)
         cut = simulate_paths(case_x0, 64, 20, case_params, variant, rng,
                              workers=workers, policies=policies)
+        assert bool(forks) == (workers > 1)
         assert cut.fingerprint() == full.fingerprint()
         assert [pol for pol, _ in cut.announced] == policies
         for policy, stages in cut.announced:
@@ -300,7 +303,8 @@ class TestDemandDrivenPaths:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_evaluation_reuses_the_announce_stages(self, workers, lp_map, case_params,
-                                                   case_x0, case_costs, monkeypatch):
+                                                   case_x0, case_costs, monkeypatch,
+                                                   forks):
         """The map is asked once per path-stage, all of it while simulating:
         evaluating paths simulated with it asks nothing."""
         rows = []
@@ -323,6 +327,7 @@ class TestDemandDrivenPaths:
         cut = simulate_paths(case_x0, 80, horizon, case_params, ModelVariant.LP2D, rng,
                              workers=workers, policies=policies)
         simulation_rows = sum(rows)  # forked spans count in their own process
+        assert bool(forks) == (workers > 1)
         rows.clear()
         report = evaluate_on(policies[0], cut, case_costs)
         assert rows == []
