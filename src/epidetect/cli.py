@@ -272,8 +272,7 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
 
         def ground_truth(lo: int, hi: int) -> list:
             trajs = []
-            for n in range(lo, hi):
-                stream = root.derive(n)
+            for stream in root.derive_span((), lo, hi):
                 traj = [((sim.x0.s1, m2), (sim.x0.i1, 0))]  # (s, i) count pairs per epoch
                 for _ in range(sim.horizon):
                     traj.append(simulate_interval(*traj[-1], cfg.epidemic, 1.0, stream))

@@ -6,8 +6,15 @@ path from the same master seed always yields the same stream, no matter
 where, when, or on which worker the derivation happens. Scenario `n` of
 solver iteration `t` therefore consumes exactly the same random numbers
 under serial and parallel execution.
+
+`RngStream.derive_span` gives a span of sibling streams in one pass. Its
+Philox keys reproduce `numpy.random.SeedSequence` for the whole span at
+once (`_seedseq`); the tests check them bit for bit against `derive`,
+which stays on `SeedSequence`.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +38,23 @@ class RngStream:
     def derive(self, *path: int) -> "RngStream":
         """Child stream at `self.path + path`; independent of draw order."""
         return RngStream(self.master_seed, self.path + tuple(int(k) for k in path))
+
+    def derive_span(self, prefix: Sequence[int], lo: int, hi: int) -> list["RngStream"]:
+        """`[self.derive(*prefix, j) for j in range(lo, hi)]`, in one pass.
+
+        The streams hold the same keys, so they give the same draws.
+        """
+        # imported here, not with the package: it loads numpy.random
+        from ._seedseq import SpawnedKey, span_keys
+
+        path = self.path + tuple(int(k) for k in prefix)
+        streams = []
+        for j, key in span_keys(self.master_seed, path, int(lo), int(hi)):
+            stream = RngStream.__new__(RngStream)
+            stream.master_seed, stream.path = self.master_seed, path + (j,)
+            stream._gen = np.random.Generator(np.random.Philox(SpawnedKey(key)))
+            streams.append(stream)
+        return streams
 
     @property
     def generator(self) -> np.random.Generator:

@@ -440,7 +440,7 @@ def build_map(
             rows = locs[lo:hi]
             i1 = rows[:, -2]
             s1 = rows[:, 0] if "s1" in MAP_COORDS[variant] else params.pool_sizes[0] - i1
-            streams = [root.derive(t, LABEL_SCENARIO, start + j) for j in range(lo, hi)]
+            streams = root.derive_span((t, LABEL_SCENARIO), start + lo, start + hi)
             return scenario_costs(
                 (s1, i1, rows[:, -1]), streams, t, maps, params, costs, variant,
                 mpc_switch=config.mpc_switch,

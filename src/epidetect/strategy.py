@@ -187,7 +187,7 @@ def simulate_paths(
 
     def run(lo: int, hi: int) -> list:
         stops, announced = _announced_by_all(policies, hi - lo)
-        streams = [rng.derive(n) for n in range(lo, hi)]
+        streams = rng.derive_span((), lo, hi)
         return list(zip(*run_scenarios((x0.s1, x0.i1, x0.p), streams, horizon, params,
                                        variant, stops if policies else None),
                         announced.T))

@@ -9,6 +9,8 @@ import pytest
 
 from epidetect import parallel
 
+from .forking import TEST_FLOOR
+
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 FLOOR = parallel._MIN_PER_WORKER  # the fewest items a forked process gets
@@ -30,15 +32,19 @@ def pids(lo, hi):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, 2 * FLOOR - 1, 2 * FLOOR, 2 * FLOOR + 1,
-                                   9 * FLOOR + 7])
-def test_index_order_matches_serial(workers, count):
+@pytest.mark.parametrize("count", [0, 1, 2 * TEST_FLOOR - 1, 2 * TEST_FLOOR,
+                                   2 * TEST_FLOOR + 1, 9 * TEST_FLOOR + 7])
+def test_index_order_matches_serial(workers, count, forks):
+    """Spans around the lowered floor; the production one is tested below."""
+    assert parallel._MIN_PER_WORKER == TEST_FLOOR
     out = parallel.indexed_map(draws, count, workers)
     assert len(out) == count
     for got, want in zip(out, draws(0, count)):
         assert np.array_equal(got, want)
     by_pid = parallel.indexed_map(pids, count, workers)
-    assert len(set(by_pid)) == min(count, max(1, min(workers, count // FLOOR)))
+    processes = max(1, min(workers, count // TEST_FLOOR))
+    assert len(set(by_pid)) == min(count, processes)
+    assert len(forks) == 2 * (processes - 1)
     assert by_pid[:1] == [os.getpid()][:count]  # the caller runs the first span
 
 
