@@ -1,15 +1,19 @@
-"""Philox keys as `numpy.random.SeedSequence` derives them, for a span at once.
+"""Philox keys as `numpy.random.SeedSequence` derives them: the one key derivation of `rng`.
 
-`span_keys` gives the keys of the spawn keys `path + (j,)`, j in lo..hi-1,
-computing numpy's pool mixing and `generate_state(2, uint64)` for the whole
-span in uint32 numpy arithmetic. `SpawnedKey` hands one of them to Philox.
-The tests check the result bit for bit against `SeedSequence`.
+`stream_key` gives the key of `SeedSequence(master_seed, spawn_key=path)`,
+and `span_keys` those of the spawn keys `path + (j,)`, j in lo..hi-1, at
+once. Both run numpy's pool mixing and `generate_state(2, uint64)` in
+`_philox_keys`, on Python ints; for a span, the lowest word of j is a uint64
+array. The words of the master seed are mixed once per seed (`_seed_pool`).
+`SpawnedKey` hands a key to Philox. The tests check every key bit for bit
+against `SeedSequence`.
 
 `rng` imports this module on first use, so that importing the package does
 not import `numpy.random`.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -33,20 +37,21 @@ class SpawnedKey(ISeedSequence):
         return self.key  # Philox asks for (2, uint64), its key
 
 
+def stream_key(master_seed: int, path: tuple[int, ...]) -> SpawnedKey:
+    """The key of `SeedSequence(master_seed, spawn_key=path)`."""
+    return SpawnedKey(_philox_keys(master_seed, [w for k in path for w in _words(k)]))
+
+
 def span_keys(master_seed: int, path: tuple[int, ...], lo: int,
-              hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """`(j, key)` for j in lo..hi-1, where `key` is the Philox key of
+              hi: int) -> Iterator[tuple[int, SpawnedKey]]:
+    """`(j, key)` for j in lo..hi-1, where `key` is the key of
     `SeedSequence(master_seed, spawn_key=path + (j,))`."""
-    head = _words(master_seed)
-    head += [0] * (_POOL_SIZE - len(head))  # a seed with a spawn key is padded
-    for k in path:
-        head += _words(k)
+    head = [w for k in path for w in _words(k)]
     while lo < hi:
-        n_words = len(_words(lo))  # refuses a negative index, as SeedSequence does
-        stop = min(hi, 1 << 32 * n_words)  # every j up to here has n_words words
-        tail = [np.array([j >> 32 * w & _MASK for j in range(lo, stop)], dtype=np.uint32)
-                for w in range(n_words)]
-        yield from zip(range(lo, stop), _philox_keys(head + tail))
+        low, *high = _words(lo)  # refuses a negative index, as SeedSequence does
+        stop = min(hi, (lo | _MASK) + 1)  # every j up to here has lo's high words
+        words = head + [np.arange(low, low + stop - lo, dtype=np.uint64), *high]
+        yield from zip(range(lo, stop), map(SpawnedKey, _philox_keys(master_seed, words)))
         lo = stop
 
 
@@ -61,41 +66,59 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _philox_keys(entropy: list) -> np.ndarray:
-    """The (n, 2) uint64 keys `generate_state(2, uint64)` gives for n
-    entropy sequences.
+def _philox_keys(master_seed: int, path_words: list) -> np.ndarray:
+    """The key `generate_state(2, uint64)` gives once numpy has mixed the
+    words of `master_seed` and then `path_words` into its pool.
 
-    `entropy` holds at least `_POOL_SIZE` words, each a Python int shared by
-    all n sequences or a uint32 array of n words, at least one of them an
-    array. Every product is reduced modulo 2**32, as in numpy's C code.
+    A path word is a Python int, or a uint64 array that holds that word of n
+    spawn keys; the result is then the (n, 2) keys rather than one (2,) key.
+    uint64 holds every product of two words below 2**32, so `& _MASK`
+    reduces modulo 2**32 on arrays as on ints, as numpy's C code does.
     """
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = hash_a * _MULT_A & _MASK
-        value = value * hash_a & _MASK
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = ((_MIX_MULT_L * x & _MASK) - (_MIX_MULT_R * y & _MASK)) & _MASK
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
+    pool, hash_a = _seed_pool(master_seed)
+    pool = list(pool)
+    for word in path_words:
+        hash_a = _mix_in(pool, word, hash_a)
     hash_b = _INIT_B
-    state = []
-    for word in pool:  # four uint32 state words, two per uint64 key word
-        word = word ^ hash_b
-        hash_b = hash_b * _MULT_B & _MASK
-        word = word * hash_b & _MASK
-        state.append(np.asarray(word ^ (word >> 16), dtype=np.uint64))
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    for i, word in enumerate(pool):  # two 32-bit state words per uint64 key word
+        pool[i], hash_b = _hash(word, hash_b, _MULT_B)
+    return np.array([pool[0] | pool[1] << 32, pool[2] | pool[3] << 32], dtype=np.uint64).T
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool once numpy has mixed in the words of `master_seed`, and the
+    next hash constant: the part of every key that the path leaves alone."""
+    words = _words(master_seed)
+    # numpy pads a seed only before a spawn key; without one, its pool
+    # hashes a zero for each missing word, which comes to the same
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, hash_a = words[:_POOL_SIZE], _INIT_A
+    for i, word in enumerate(pool):
+        pool[i], hash_a = _hash(word, hash_a, _MULT_A)
+    for src in range(_POOL_SIZE):
+        hash_a = _mix_in(pool, pool[src], hash_a, skip=src)
+    for word in words[_POOL_SIZE:]:
+        hash_a = _mix_in(pool, word, hash_a)
+    return tuple(pool), hash_a
+
+
+def _hash(value, hash_const: int, mult: int) -> tuple:
+    """numpy's hashmix of `value` under `hash_const`, and the next constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK
+    value = value * hash_const & _MASK
+    return value ^ value >> 16, hash_const
+
+
+def _mix_in(pool: list, word, hash_a: int, skip: int = -1) -> int:
+    """Mix numpy's hashes of `word` into every pool word but `skip`; returns
+    the next hash constant."""
+    for dst in range(_POOL_SIZE):
+        if dst != skip:
+            value = word ^ hash_a
+            hash_a = hash_a * _MULT_A & _MASK
+            value = value * hash_a & _MASK
+            value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16) & _MASK
+            pool[dst] = value ^ value >> 16
+    return hash_a

@@ -31,9 +31,6 @@ import pickle
 import signal
 import sys
 import traceback
-# no pool is started here; `ProcessPoolExecutor` stays a module attribute
-# because bench/spans.py counts its constructions as `parallel.pools`
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from typing import BinaryIO, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -46,6 +43,16 @@ class WorkerTraceback(Exception):
 
     def __str__(self) -> str:
         return f'\n"""\n{self.args[0]}"""'
+
+
+def __getattr__(name: str):
+    # no pool is started here; bench/spans.py counts constructions of
+    # `ProcessPoolExecutor` as `parallel.pools`, so the name is served on
+    # first access, which keeps multiprocessing out of every command's start
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def default_workers() -> int:

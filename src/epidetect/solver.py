@@ -13,7 +13,8 @@ rule is exact for the one-stage problem, so only for the map of iteration
 0.0161 / 0.0231 / 0.0287 / 0.0338 / 0.0382 for k = 2 / 5 / 10 / 20 / 50 at
 the case-study parameters, against 0.0118 for the rule. A map of iteration
 t >= 2 thus announces on I1 = 0 for P between about 0.012 and the t-stage
-root, where waiting is cheaper.
+root, where waiting is cheaper. On P = 1, which is absorbing, announcing
+is exact and the map decides so without the surrogate.
 Iteration t simulates scenarios that stop at the first stage s whose state
 falls in the iteration-(t-s) announce region (with the convention that the
 iteration-0 region covers everything, so every scenario stops by stage t).
@@ -200,11 +201,11 @@ class DetectionMap:
     """Announce/wait partition induced by a fitted surrogate at one iteration.
 
     A location is announced where qhat - d > 0: the surrogate decides off
-    the extinct line, and the exact one-stage look-ahead `extinct_margin`
-    decides on I1 = 0. For a map of iteration t >= 2 that rule announces on
-    I1 = 0 earlier than the t-stage optimum would. `locations` holds the
-    design in map coordinates; `surrogate` is fitted on their
-    `surrogate_inputs` and is queried the same way.
+    the extinct line, the exact one-stage look-ahead `extinct_margin`
+    decides on I1 = 0, and P = 1 always announces. For a map of iteration
+    t >= 2 the rule on I1 = 0 announces earlier than the t-stage optimum
+    would. `locations` holds the design in map coordinates; `surrogate` is
+    fitted on their `surrogate_inputs` and is queried the same way.
     """
 
     def __init__(
@@ -239,13 +240,20 @@ class DetectionMap:
         return float(self.score_locations(np.asarray(loc, dtype=float)[None])[0])
 
     def score_locations(self, locs) -> np.ndarray:
-        """qhat - d at each row of `locs`, any number of rows, 0 included."""
+        """qhat - d at each row of `locs`, any number of rows, 0 included.
+
+        P = 1 is absorbing and lies outside the regression box; there the
+        score is the exact margin C_Delay, the cost of one stage of waiting
+        before a free announcement.
+        """
         locs = np.asarray(locs, dtype=float)
-        line = on_extinct_line(locs)
-        scores = np.empty(locs.shape[0])
+        certain = locs[:, -1] == 1.0
+        line = on_extinct_line(locs) & ~certain
+        fitted = ~line & ~certain
+        scores = np.full(locs.shape[0], self.costs.c_delay)
         scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
-        scores[~line] = (self.surrogate.predict_mean_many(surrogate_inputs(locs[~line]))
-                         - immediate_cost(locs[~line, -1], self.costs))
+        scores[fitted] = (self.surrogate.predict_mean_many(surrogate_inputs(locs[fitted]))
+                          - immediate_cost(locs[fitted, -1], self.costs))
         return scores
 
     def announce(self, x: ReducedState) -> bool:

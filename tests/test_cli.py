@@ -735,6 +735,18 @@ def test_solve_runs_without_scipy(tmp_path):
     assert report["iterations"] == 2
 
 
+def test_cli_import_leaves_process_pools_and_numpy_random_unloaded():
+    """Every command pays the CLI's import; the fork layer needs no
+    multiprocessing, and streams load numpy.random on first use."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, epidetect.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'numpy.random') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_readme_library_example_runs(tmp_path):
     """The README "Library use" block runs as written from the package root's exports."""
     readme = (REPO / "README.md").read_text()

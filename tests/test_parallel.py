@@ -160,3 +160,11 @@ def test_default_workers_counts_the_affinity_mask(monkeypatch):
     assert parallel.default_workers() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert parallel.default_workers() == 1
+
+
+def test_process_pool_executor_is_served_on_access():
+    from concurrent.futures import ProcessPoolExecutor
+
+    assert parallel.ProcessPoolExecutor is ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        parallel.no_such_name

@@ -40,28 +40,57 @@ def test_nested_derive_matches_flat():
     assert np.array_equal(nested.generator.random(20), flat.generator.random(20))
 
 
-def assert_span_matches_derive(stream, prefix, lo, hi):
+def reference(master, path):
+    """A generator keyed by numpy's own `SeedSequence`: the reference for every key."""
+    seq = np.random.SeedSequence(master, spawn_key=path)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def assert_matches_reference(stream, path):
+    """`stream` is at `path` and holds the key, counter and draws of `reference`."""
+    want = reference(stream.master_seed, path)
+    assert stream.path == path
+    got_state, want_state = (g.bit_generator.state["state"] for g in (stream.generator, want))
+    assert np.array_equal(got_state["key"], want_state["key"]), path
+    assert np.array_equal(got_state["counter"], want_state["counter"]), path
+    assert np.array_equal(stream.generator.random(8), want.random(8)), path
+    assert stream.generator.integers(0, 2**63, 4).tolist() == want.integers(0, 2**63, 4).tolist()
+
+
+def assert_span_matches_reference(stream, prefix, lo, hi):
     span = stream.derive_span(prefix, lo, hi)
     assert len(span) == hi - lo
     for j, got in zip(range(lo, hi), span):
-        want = stream.derive(*prefix, j)
-        assert (got.master_seed, got.path) == (want.master_seed, want.path)
-        got_state, want_state = (x.generator.bit_generator.state["state"] for x in (got, want))
-        assert np.array_equal(got_state["key"], want_state["key"]), j
-        assert np.array_equal(got_state["counter"], want_state["counter"]), j
-        assert np.array_equal(got.generator.random(8), want.generator.random(8)), j
-        assert got.generator.integers(0, 2**63, 4).tolist() == \
-            want.generator.integers(0, 2**63, 4).tolist()
+        path = stream.path + tuple(prefix) + (j,)
+        assert got.master_seed == stream.master_seed
+        assert_matches_reference(got, path)
+        assert_matches_reference(stream.derive(*prefix, j), path)
+
+
+MASTERS = [0, 1, 7, 2**32 - 1, 2**32, 2**130 + 3]
+
+
+@pytest.mark.parametrize("master", MASTERS)
+def test_root_stream_is_seed_sequence(master):
+    # no spawn key: numpy mixes zeros for the words a short seed lacks
+    assert_matches_reference(RngStream(master), ())
+
+
+@pytest.mark.parametrize("master", MASTERS)
+@pytest.mark.parametrize("path", [(3,), (8, 2, 2**33), (4, 1, 2**64 + 5, 0, 9)])
+def test_derive_is_seed_sequence(master, path):
+    assert_matches_reference(RngStream(master).derive(*path), path)
+    assert_matches_reference(RngStream(master, path), path)
 
 
 @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**130 + 3])
 @pytest.mark.parametrize("prefix", [(), (3,), (8, 2, 2**33)])
 def test_span_gives_the_streams_of_derive(master, prefix):
     root = RngStream(master)
-    assert_span_matches_derive(root, prefix, 0, 40)
-    assert_span_matches_derive(root, prefix, 2**32 - 3, 2**32 + 3)  # one word, then two
-    assert_span_matches_derive(root, prefix, 2**64 - 2, 2**64 + 2)  # two words, then three
-    assert_span_matches_derive(root.derive(4, 1), prefix, 17, 41)
+    assert_span_matches_reference(root, prefix, 0, 40)
+    assert_span_matches_reference(root, prefix, 2**32 - 3, 2**32 + 3)  # one word, then two
+    assert_span_matches_reference(root, prefix, 2**64 - 2, 2**64 + 2)  # two words, then three
+    assert_span_matches_reference(root.derive(4, 1), prefix, 17, 41)
 
 
 def test_empty_span():
@@ -75,3 +104,11 @@ def test_negative_entries_raise_like_derive(prefix, lo):
         root.derive(*prefix, lo)
     with pytest.raises(ValueError):
         root.derive_span(prefix, lo, lo + 2)
+
+
+@pytest.mark.parametrize("master, path", [(-1, ()), (-1, (2,)), (5, (-1,)), (5, (2, -3))])
+def test_negative_address_raises_like_seed_sequence(master, path):
+    with pytest.raises(ValueError):
+        reference(master, path)
+    with pytest.raises(ValueError):
+        RngStream(master, path)

@@ -522,11 +522,14 @@ class TestSolve:
     @pytest.mark.parametrize("variant", ["lp2d", "full3d"])
     def test_sup_diffs_are_trace_distances(self, variant, case_params, case_costs,
                                            monkeypatch):
-        scored, predicted = [], []
+        off_line, scored, predicted = [], [], []
         score, predict = DetectionMap.score_locations, LoessModel.predict_mean_many
 
         def score_spy(dmap, locs):
-            scored.append(int(np.count_nonzero(np.asarray(locs)[:, -2] != 0.0)))
+            off = np.asarray(locs)[:, -2] != 0.0
+            below_one = np.asarray(locs)[:, -1] != 1.0
+            off_line.append(int(np.count_nonzero(off)))
+            scored.append(int(np.count_nonzero(off & below_one)))
             return score(dmap, locs)
 
         def predict_spy(model, xs):
@@ -538,9 +541,11 @@ class TestSolve:
         cfg = SrmcConfig(master_seed=36, n0=60, n_batch=60, n_end=60,
                          d_candidates=100, t_max=4)
         seq = solve(cfg, case_params, case_costs, variant)
-        # every mean query scores a stop rule's or a trace's off-line rows:
-        # the surrogate is never asked on the audit grid
+        # every mean query scores a stop rule's or a trace's rows off the
+        # extinct line and below P = 1: the surrogate is never asked on the
+        # audit grid; scenarios do reach P = 1
         assert sum(predicted) == sum(scored) > 0
+        assert sum(scored) < sum(off_line)
         assert len(seq.sup_diffs) == 3
         for k, shift in enumerate(seq.sup_diffs):
             assert shift == trace_distance(seq.traces[k], seq.traces[k + 1])
@@ -709,6 +714,25 @@ class TestExtinctLineAndBoundaries:
             np.testing.assert_array_equal(seen[0], surrogate_inputs(locs[off]))
             assert scores.shape == (rows,) and scores.dtype == np.float64
             np.testing.assert_array_equal(scores, [dmap.score_location(loc) for loc in locs])
+
+    def test_p_one_announces_by_the_exact_margin(self, small_lp_map, case_params,
+                                                 case_costs, monkeypatch):
+        dmap, _cfg = small_lp_map
+        seen = []
+
+        def waits(xs):  # a surrogate that waits everywhere: qhat - d = -1 at P = 1
+            seen.append(np.array(xs))
+            return np.full(len(xs), -1.0)
+
+        monkeypatch.setattr(dmap.surrogate, "predict_mean_many", waits)
+        locs = np.array([[0.0, 1.0], [3.0, 1.0], [400.0, 1.0], [3.0, 0.5], [0.0, 0.5]])
+        scores = dmap.score_locations(locs)
+        assert scores[:3].tolist() == [case_costs.c_delay] * 3
+        assert scores[3] == -1.0 - 0.5 * case_costs.c_fa
+        assert scores[4] == extinct_margin(0.5, case_params, case_costs)
+        assert len(seen) == 1  # only the off-line row below P = 1 asks the surrogate
+        np.testing.assert_array_equal(seen[0], surrogate_inputs(locs[[3]]))
+        assert dmap.announce(ReducedState(1990, 3, 1.0))
 
     def test_build_map_scores_only_off_line_candidates(self, small_lp_map, case_params,
                                                        case_costs, monkeypatch):
