@@ -89,9 +89,15 @@ def single_pool_interval(
     Raises ValueError unless S >= 0, I >= 0 and S + I <= M; the events keep
     that invariant, since S falls only by infection (rate 0 at S = 0), I
     falls only while I > 0, and S + I never rises.
+
+    The loop keeps S, I and M as floats and returns ints. The counts stay
+    far below 2**53, so every product, comparison and draw is the one the
+    int state makes; the float state only spares each product its int
+    conversion.
     """
     if s < 0 or i < 0 or s + i > m:
         raise ValueError(f"pool state S={s}, I={i} does not fit pool size {m}")
+    s, i, m = float(s), float(i), float(m)
     t = 0.0
     while i > 0:
         exps = gen.standard_exponential(_CHUNK).tolist()
@@ -101,15 +107,15 @@ def single_pool_interval(
             total = r_inf + gamma * i
             t += e / total
             if t > duration:
-                return s, i
+                return int(s), int(i)
             if u * total < r_inf:
-                s -= 1
-                i += 1
+                s -= 1.0
+                i += 1.0
             else:
-                i -= 1
-                if i == 0:
+                i -= 1.0
+                if i == 0.0:
                     break
-    return s, i
+    return int(s), int(i)
 
 
 def simulate_interval(
