@@ -14,18 +14,31 @@ Euclidean distance. Each prediction exposes
   * the predictive standard error sqrt(sigma2(x)) * ||l(x)||.
 
 The model is the data: fitting stores inputs, responses and per-coordinate
-scales, plus the per-point moment features below, nothing else. The
+scales, plus the per-site moment features below, nothing else. The
 standard error's features are built on the first standard-error query, so
 a model that only predicts means never holds them.
+
+A sequential design draws its batches with replacement, so its rows pile up
+on repeated design sites: final designs hold about a third as many distinct
+rows as points. The estimator is the N-point one, but the query passes run
+over the distinct sites (in order of first occurrence). Every moment is a
+sum over points, so fitting sums the copies of a site into one feature row
+(Cleveland & Grosse 1991, below),
+and the neighborhood count weighs each site by its copies. The radius is
+still the k-th smallest of the N point distances: the site distances are
+spread over the points and partitioned, so it has the bits of the N-point
+selection. A design without repeats keeps its points as sites, and their
+arrays and bits.
 
 Every query, a block of any number of rows (zero included; a point query is
 one row), runs through one kernel, `LoessModel._fit`, at two block levels:
 
-  * per block of `_BLOCK_ENTRIES` distance entries, `_weigh` makes the
-    passes over the N points: squared distances, summed coordinate by
-    coordinate over contiguous input columns, a row-wise partition for the
-    k-th distance, the tricube weights (0 outside the neighborhood) and the
-    weighted moments, each from one (1 x N)(N x m) product per row;
+  * per block of `_BLOCK_ENTRIES` point distances (N per row), `_weigh`
+    makes the passes over the sites: squared distances, summed coordinate
+    by coordinate over contiguous site columns, a row-wise partition of the
+    N point distances for the k-th one, the tricube weights (0 outside the
+    neighborhood) and the weighted moments, each from one (1 x S)(S x m)
+    product per row over the S sites;
   * per batch of `_BATCH_ROWS` rows, `_solve` does the r x r algebra, so
     its few dozen small array operations are paid once per batch rather
     than once per block of 16 rows (N = 1000). The batch is bounded
@@ -34,7 +47,8 @@ one row), runs through one kernel, `LoessModel._fit`, at two block levels:
 
 The fitted mean: the standardized inputs u_i are centered at their column
 mean c0, and point i carries the upper triangle of v_i v_i' with
-v_i = [z_i, y_i] and basis row z_i = [u_i - c0, 1] (constant term last).
+v_i = [z_i, y_i] and basis row z_i = [u_i - c0, 1] (constant term last);
+a site carries the sum over its copies.
 The moments [Z y]' W [Z y] move to the query-centered basis B by T(c), with
 [u - c, 1] = T(c) [u, 1] and c = x / scale - c0. A stacked Cholesky
 factorization of that bordered system is the singularity test and the
@@ -48,7 +62,8 @@ row costs a mean row plus two moment products and a neighborhood count,
 with no pass over the N points that evaluates the local fit:
 
   * ||l||^2 = a' Z'W^2Z a with a = M^{-1} e_r in the centered basis, and
-    Z'W^2Z from the weights w^2 and the upper triangle of z z';
+    Z'W^2Z from the weights w^2 and the upper triangle of z z' times the
+    site's copies;
   * the weighted residual sum of squares is yt'W yt - |L^{-1} B'W yt|^2,
     with L L' = B'WB and the responses yt = y - ybar. Centering keeps the
     two terms at the scale of the local spread of the responses, whatever
@@ -60,8 +75,9 @@ with no pass over the N points that evaluates the local fit:
 
 A nearly singular local system makes a large, and the terms of a' Z'W^2Z a
 then cancel. Rows that lose more than five digits there take the explicit
-passes instead: l = w * (Z a) and the residuals y - Z beta at all N points.
-The equivalent-kernel row itself is built only on request.
+passes instead: l = w * (Z a) and the residuals y - Z beta at all N points,
+with each site's weight spread over its copies. The equivalent-kernel row
+itself, one entry per point, is built only on request.
 
 Rows never mix: every product runs per row, and small sums run left to
 right as elementwise operations over the rows, so a query gets the same
@@ -118,6 +134,25 @@ def _upper_products(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     position = np.empty((m, m), dtype=int)  # (p, q) -> triangle column
     position[upper] = position[upper[::-1]] = np.arange(upper[0].size)
     return v[:, upper[0]] * v[:, upper[1]], position.ravel()
+
+
+def _sites(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `x` in order of first occurrence, as the index of
+    each one's first row, and the site index of every row.
+
+    A stable lexsort groups equal rows and lists each group's rows in input
+    order, so a group's first sorted row is its first occurrence.
+    """
+    order = np.lexsort(x.T[::-1])
+    xs = x[order]
+    new = np.ones(len(x), dtype=bool)
+    np.any(xs[1:] != xs[:-1], axis=1, out=new[1:])
+    firsts = order[new]  # per group, in sorted order
+    rank = np.empty(firsts.size, dtype=np.intp)
+    rank[np.argsort(firsts)] = np.arange(firsts.size)
+    site = np.empty(len(x), dtype=np.intp)
+    site[order] = rank[np.cumsum(new) - 1]
+    return np.sort(firsts), site
 
 
 def _padded(features: np.ndarray) -> np.ndarray:
@@ -204,17 +239,36 @@ class LoessModel:
         self.config = config
         self.normalization = scales
         scaled = inputs / scales
-        self._columns = scaled.T.copy()  # one contiguous row per coordinate
         self._r = r
         self._k = min(n, max(math.ceil(config.span * n), r))  # neighborhood size
 
+        # Distinct sites: a design without repeats keeps its points as sites
+        # (`_site` None), so its arrays, and their bits, are the points' own.
+        firsts, site = _sites(inputs)
+        self._site = site if firsts.size < n else None
+        self._counts = np.bincount(site).astype(float)  # copies per site
+        self._columns = scaled[firsts].T.copy()  # one contiguous row per coordinate
+
         # Moment features in a basis centered at the data's mean: column by
         # column, a weighted sum of the rows of `_features` gives the upper
-        # triangle of [Z y]' W [Z y], so Z'WZ, Z'Wy and y'Wy.
+        # triangle of [Z y]' W [Z y], so Z'WZ, Z'Wy and y'Wy. A site's row is
+        # the sum of its copies' rows.
         self._center = scaled.mean(axis=0)
-        self._z = _basis(scaled - self._center)
-        self._features, self._symmetric = _upper_products(
-            np.column_stack([self._z, responses]))
+        self._z = _basis(scaled - self._center)  # one row per point
+        features, self._symmetric = _upper_products(np.column_stack([self._z, responses]))
+        self._features = self._site_sums(features)
+        self._z_sites = self._z[firsts]
+
+    def _site_sums(self, features: np.ndarray) -> np.ndarray:
+        """Per-site sums of per-point feature rows, one `bincount` per column."""
+        if self._site is None:
+            return features
+        return np.column_stack([np.bincount(self._site, col, self._counts.size)
+                                for col in features.T])
+
+    def _at_points(self, a: np.ndarray) -> np.ndarray:
+        """Per-site columns of `a` spread over the N points: each copy gets its site's."""
+        return a if self._site is None else a.take(self._site, axis=1)
 
     @functools.cached_property
     def _se_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,9 +278,11 @@ class LoessModel:
         ybar, centered at the response nearest their mean, so that constant
         responses give yt = 0 exactly."""
         y = self.responses
-        zz, symmetric = _upper_products(self._z)
+        zz, symmetric = _upper_products(self._z_sites)
+        zz *= self._counts[:, None]  # the copies of a site share z
         yt = y - y[np.abs(y - y.mean()).argmin()]
-        return _padded(zz), symmetric, _padded(np.column_stack([self._z * yt[:, None], yt * yt]))
+        zyt = self._site_sums(np.column_stack([self._z * yt[:, None], yt * yt]))
+        return _padded(zz), symmetric, _padded(zyt)
 
     @property
     def n_points(self) -> int:
@@ -242,7 +298,7 @@ class LoessModel:
         return (w[:, None, :] @ self._features)[:, 0, self._symmetric].reshape(-1, r1, r1)
 
     def _sq_distances(self, q: np.ndarray) -> np.ndarray:
-        """Squared distances from the standardized queries `q` (rows) to every point.
+        """Squared distances from the standardized queries `q` (rows) to every site.
 
         Summed coordinate by coordinate, (d_0^2 + d_1^2) + ..., one row per
         query. Starting from d_0^2 rather than from 0 + d_0^2 changes no bit,
@@ -250,7 +306,7 @@ class LoessModel:
         first copied along its row: subtracting a broadcast column ran at
         about twice the cost of the copy plus a contiguous subtraction.
         """
-        d2 = np.empty((q.shape[0], self.n_points))
+        d2 = np.empty((q.shape[0], self._columns.shape[1]))
         diff = np.empty_like(d2)
         for j, col in enumerate(self._columns):
             out = diff if j else d2
@@ -262,15 +318,16 @@ class LoessModel:
         return d2
 
     def _weigh(self, q: np.ndarray, with_se: bool, with_kernel: bool) -> tuple:
-        """The N-point passes for the standardized queries `q` (rows of one block).
+        """The site passes for the standardized queries `q` (rows of one block).
 
         Returns (mz,) with the moments [Z y]' W [Z y], and for standard errors
         also (Z'W^2Z, [Z'W yt, yt'W yt], k_size), plus the (rows x N) weights
-        when `with_kernel` is set.
+        of the points when `with_kernel` is set.
         """
         k, r = self._k, self._r
         d2 = self._sq_distances(q)
-        d2max = np.partition(d2, k - 1, axis=1)[:, k - 1]  # k = n: the row maximum
+        # the k-th smallest of the N point distances (k = n: the row maximum)
+        d2max = np.partition(self._at_points(d2), k - 1, axis=1)[:, k - 1]
 
         # tricube weights by products, clipped at 0 outside the neighborhood
         # (the row scales are copied along their rows first, as in `_sq_distances`)
@@ -296,8 +353,9 @@ class LoessModel:
         np.multiply(w, w, out=cube)
         zz = (cube[:, None, :] @ zz_features)[:, 0, symmetric].reshape(-1, r, r)
         zy = (w[:, None, :] @ zyt)[:, 0]
-        k_size = np.count_nonzero(d2 <= d2max[:, None], axis=1)  # boundary ties included
-        return (mz, zz, zy, k_size) + ((w,) if with_kernel else ())
+        # every copy counts, boundary ties included
+        k_size = (d2 <= d2max[:, None]) @ self._counts
+        return (mz, zz, zy, k_size) + ((self._at_points(w),) if with_kernel else ())
 
     def _solve(self, q: np.ndarray, with_se: bool, mz: np.ndarray, zz=None, zy=None,
                k_size=None, w=None):

@@ -272,35 +272,40 @@ class TestBlockKernel:
             Q = np.vstack([X[:5], rng.normal(size=(10, d)) * scale,
                            60.0 * rng.normal(size=(5, d)) * scale])  # far outside
             q = Q / model.normalization
+            # one column per distinct site, in order of first occurrence
+            sites = X[np.sort(np.unique(X, axis=0, return_index=True)[1])]
             d2 = model._sq_distances(q)
-            assert d2.shape == (20, n)
-            np.testing.assert_array_equal(d2, cdist(q, X / model.normalization,
+            assert d2.shape == (20, len(sites))
+            np.testing.assert_array_equal(d2, cdist(q, sites / model.normalization,
                                                     "sqeuclidean"))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_blocks_match_row_by_row(self, d, monkeypatch):
         rng = np.random.default_rng(103 + d)
         X = rng.uniform(0, 1, size=(80, d))
-        y = rng.normal(size=80) + X.sum(axis=1)
-        model = fit(X, y, LoessConfig(span=0.5))
         Q = rng.uniform(-0.2, 1.2, size=(600, d))
-        preds = [model.predict(q) for q in Q]
-        means = np.array([p.mean for p in preds])
-        stderrs = np.array([p.stderr for p in preds])
-        np.testing.assert_array_equal(means, [model.predict_mean(q) for q in Q])
-        # one row per block, 7 rows per block (the last one partial), the
-        # default; batches of one row, of 7 rows, the default (600 rows overrun it)
-        for entries, rows in itertools.product((80, 7 * 80, loess._BLOCK_ENTRIES),
-                                               (1, 7, loess._BATCH_ROWS)):
-            monkeypatch.setattr(loess, "_BLOCK_ENTRIES", entries)
-            monkeypatch.setattr(loess, "_BATCH_ROWS", rows)
-            batch_means, batch_stderrs = model.predict_many(Q)
-            np.testing.assert_array_equal(batch_means, means)
-            np.testing.assert_array_equal(batch_stderrs, stderrs)
-            np.testing.assert_array_equal(model.predict_mean_many(Q), means)
-            # a block of zero rows gives empty float arrays
-            for out in (*model.predict_many(Q[:0]), model.predict_mean_many(Q[:0])):
-                assert out.shape == (0,) and out.dtype == np.float64
+        # 80 distinct points, then 80 draws with replacement from 30 of them
+        for X in (X, X[rng.integers(0, 30, 80)]):
+            y = rng.normal(size=80) + X.sum(axis=1)
+            model = fit(X, y, LoessConfig(span=0.5))
+            preds = [model.predict(q) for q in Q]
+            means = np.array([p.mean for p in preds])
+            stderrs = np.array([p.stderr for p in preds])
+            np.testing.assert_array_equal(means, [model.predict_mean(q) for q in Q])
+            # one row per block, 7 rows per block (the last one partial), the
+            # default; batches of one row, of 7 rows, the default (600 rows overrun it)
+            for entries, rows in itertools.product((80, 7 * 80, loess._BLOCK_ENTRIES),
+                                                   (1, 7, loess._BATCH_ROWS)):
+                monkeypatch.setattr(loess, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(loess, "_BATCH_ROWS", rows)
+                batch_means, batch_stderrs = model.predict_many(Q)
+                np.testing.assert_array_equal(batch_means, means)
+                np.testing.assert_array_equal(batch_stderrs, stderrs)
+                np.testing.assert_array_equal(model.predict_mean_many(Q), means)
+                # a block of zero rows gives empty float arrays
+                for out in (*model.predict_many(Q[:0]), model.predict_mean_many(Q[:0])):
+                    assert out.shape == (0,) and out.dtype == np.float64
+            monkeypatch.undo()
 
     def test_singular_row_among_regular_rows(self, monkeypatch):
         # Pool A lies on x2 = 0, the exact mean of x2 (whose scale is exactly
@@ -395,3 +400,94 @@ class TestBlockKernel:
             assert pred.mean == batch_mean
             assert pred.mean == pytest.approx(mean_o, rel=1e-8)
             np.testing.assert_allclose(pred.kernel, l_o, rtol=0, atol=1e-8 * np.abs(l_o).max())
+
+
+def drawn_with_replacement(rng, n_sites, n, d):
+    """A design of n rows drawn with replacement from n_sites distinct sites,
+    as the sequential design draws its batches."""
+    sites = rng.uniform(0, 5, size=(n_sites, d))
+    return sites[rng.integers(0, n_sites, n)]
+
+
+class TestRepeatedSites:
+    """The model fits and queries over distinct sites; the estimator is the
+    N-point one, so every copy of a site counts as a point."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_oracles(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(40, 90))
+        span = float(rng.uniform(0.3, 1.0))
+        X = drawn_with_replacement(rng, n // 3, n, d)
+        y = rng.normal(size=n) + X.sum(axis=1)
+        model = fit(X, y, LoessConfig(span=span))
+        assert model._columns.shape[1] == len(np.unique(X, axis=0)) < n
+        Q = np.vstack([X[:3], rng.uniform(0.5, 4.5, size=(5, d))])
+        means, stderrs = model.predict_many(Q)
+        for q, mean, stderr in zip(Q, means, stderrs):
+            pred = model.predict(q, with_kernel=True)
+            assert not pred.degenerate
+            mean_o, l_o = dense_wls_oracle(X, y, q, span, 1)
+            assert mean == pred.mean == pytest.approx(mean_o, abs=1e-10)
+            np.testing.assert_allclose(pred.kernel, l_o, rtol=0, atol=1e-10)
+            assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose((stderr, pred.kernel_norm, pred.local_sigma2),
+                                       dense_wls_stderr(X, y, q, span), rtol=1e-10, atol=0)
+            for site in np.unique(X, axis=0):  # copies of a site get equal entries
+                entries = pred.kernel[np.all(X == site, axis=1)]
+                assert np.all(entries == entries[0])
+
+    def test_boundary_site_counts_every_copy(self):
+        # k = 5 at span 0.5; from 0 the sorted distances are 0, 1, 2, 3, 3, 3,
+        # so the radius is 3 and the three copies of the site at 3 all belong
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [3.0], [3.0], [4.0], [5.0], [6.0], [7.0]])
+        y = np.random.default_rng(31).normal(size=10)
+        model = fit(X, y, LoessConfig(span=0.5))
+        q = np.array([[0.0]])
+        k_size = model._weigh(q / model.normalization, True, False)[3]
+        members = oracle_weights(X, q[0], 0.5, 1)[1]
+        assert k_size[0] == members.sum() == 6
+        pred = model.predict(q[0])
+        np.testing.assert_allclose((pred.stderr, pred.kernel_norm, pred.local_sigma2),
+                                   dense_wls_stderr(X, y, q[0], 0.5), rtol=1e-10, atol=0)
+
+    def test_singular_fallback(self):
+        # constant second coordinate: every local system is singular
+        X = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
+        X = X[np.random.default_rng(32).integers(0, 10, 30)]
+        y = np.arange(30.0) ** 0.5
+        model = fit(X, y, LoessConfig(span=0.5))
+        for q in ([4.0, 3.0], [4.5, 3.0]):
+            pred = model.predict(q, with_kernel=True)
+            assert pred.degenerate
+            assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
+            assert pred.mean == pytest.approx(pred.kernel @ y, abs=1e-12)
+            assert pred.mean == model.predict_many([q])[0][0] == model.predict_mean(q)
+
+    def test_ill_conditioned_fallback(self, monkeypatch):
+        # Sites of pool A lie within 1e-4 of x2 = 0, pool B spreads in x2;
+        # queries in A at x2 = 0.01 extrapolate across A's thin x2 spread,
+        # so a' Z'W^2Z a cancels and the rows take the explicit point passes.
+        rng = np.random.default_rng(5)
+        sites = np.vstack([
+            np.column_stack([rng.uniform(0, 20, 30), rng.uniform(-1e-4, 1e-4, 30)]),
+            np.column_stack([100 + rng.uniform(0, 20, 30), rng.uniform(-2, 2, 30)]),
+        ])
+        X = sites[rng.integers(0, 60, 150)]
+        y = rng.normal(size=150) + X[:, 0]
+        model = fit(X, y, LoessConfig(span=0.2))
+        Q = np.column_stack([rng.uniform(2, 18, 8), np.full(8, 0.01)])
+        explicit = []
+        weigh = model._weigh
+
+        def spy(q, with_se, with_kernel):
+            explicit.append(with_kernel)
+            return weigh(q, with_se, with_kernel)
+
+        monkeypatch.setattr(model, "_weigh", spy)
+        _, stderrs = model.predict_many(Q)
+        assert explicit.count(True) == 1  # one explicit pass over the ill rows
+        reference = [dense_wls_stderr(X, y, q, 0.2)[0] for q in Q]
+        # both sides lose digits to the conditioning, the oracle the more
+        np.testing.assert_allclose(stderrs, reference, rtol=1e-9, atol=0)
