@@ -22,8 +22,7 @@ A sequential design draws its batches with replacement, so its rows pile up
 on repeated design sites: final designs hold about a third as many distinct
 rows as points. The estimator is the N-point one, but the query passes run
 over the distinct sites (in order of first occurrence). Every moment is a
-sum over points, so fitting sums the copies of a site into one feature row
-(Cleveland & Grosse 1991, below),
+sum over points, so fitting sums the copies of a site into one feature row,
 and the neighborhood count weighs each site by its copies. The radius is
 still the k-th smallest of the N point distances: the site distances are
 spread over the points and partitioned, so it has the bits of the N-point
@@ -246,7 +245,7 @@ class LoessModel:
         # (`_site` None), so its arrays, and their bits, are the points' own.
         firsts, site = _sites(inputs)
         self._site = site if firsts.size < n else None
-        self._counts = np.bincount(site).astype(float)  # copies per site
+        self._counts = np.bincount(site).astype(float)  # copies per site, for BLAS products
         self._columns = scaled[firsts].T.copy()  # one contiguous row per coordinate
 
         # Moment features in a basis centered at the data's mean: column by
