@@ -4,16 +4,14 @@
 and `span_keys` those of the spawn keys `path + (j,)`, j in lo..hi-1, at
 once. Both run numpy's pool mixing and `generate_state(2, uint64)` in
 `_philox_keys`, on Python ints; for a span, the lowest word of j is a uint64
-array. The words of the master seed are mixed once per seed (`_seed_pool`).
-`SpawnedKey` hands a key to Philox. The tests check every key bit for bit
-against `SeedSequence`.
+array. `SpawnedKey` hands a key to Philox. The tests check every key bit for
+bit against `SeedSequence`.
 
 `rng` imports this module on first use, so that importing the package does
 not import `numpy.random`.
 """
 from __future__ import annotations
 
-import functools
 from typing import Iterator
 
 import numpy as np
@@ -75,24 +73,10 @@ def _philox_keys(master_seed: int, path_words: list) -> np.ndarray:
     uint64 holds every product of two words below 2**32, so `& _MASK`
     reduces modulo 2**32 on arrays as on ints, as numpy's C code does.
     """
-    pool, hash_a = _seed_pool(master_seed)
-    pool = list(pool)
-    for word in path_words:
-        hash_a = _mix_in(pool, word, hash_a)
-    hash_b = _INIT_B
-    for i, word in enumerate(pool):  # two 32-bit state words per uint64 key word
-        pool[i], hash_b = _hash(word, hash_b, _MULT_B)
-    return np.array([pool[0] | pool[1] << 32, pool[2] | pool[3] << 32], dtype=np.uint64).T
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """The pool once numpy has mixed in the words of `master_seed`, and the
-    next hash constant: the part of every key that the path leaves alone."""
     words = _words(master_seed)
     # numpy pads a seed only before a spawn key; without one, its pool
     # hashes a zero for each missing word, which comes to the same
-    words += [0] * (_POOL_SIZE - len(words))
+    words += [0] * (_POOL_SIZE - len(words)) + path_words
     pool, hash_a = words[:_POOL_SIZE], _INIT_A
     for i, word in enumerate(pool):
         pool[i], hash_a = _hash(word, hash_a, _MULT_A)
@@ -100,7 +84,10 @@ def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
         hash_a = _mix_in(pool, pool[src], hash_a, skip=src)
     for word in words[_POOL_SIZE:]:
         hash_a = _mix_in(pool, word, hash_a)
-    return tuple(pool), hash_a
+    hash_b = _INIT_B
+    for i, word in enumerate(pool):  # two 32-bit state words per uint64 key word
+        pool[i], hash_b = _hash(word, hash_b, _MULT_B)
+    return np.array([pool[0] | pool[1] << 32, pool[2] | pool[3] << 32], dtype=np.uint64).T
 
 
 def _hash(value, hash_const: int, mult: int) -> tuple:
@@ -116,9 +103,7 @@ def _mix_in(pool: list, word, hash_a: int, skip: int = -1) -> int:
     the next hash constant."""
     for dst in range(_POOL_SIZE):
         if dst != skip:
-            value = word ^ hash_a
-            hash_a = hash_a * _MULT_A & _MASK
-            value = value * hash_a & _MASK
-            value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16) & _MASK
+            value, hash_a = _hash(word, hash_a, _MULT_A)
+            value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * value & _MASK
             pool[dst] = value ^ value >> 16
     return hash_a

@@ -51,6 +51,14 @@ def _write_csv(path: Path, header: Sequence[str], rows, config_hash: str, seed: 
         writer.writerows(rows)
 
 
+def _make_dir(path: Path) -> None:
+    """Create the output directory `path`; a file in its way is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"cannot make output directory {path}: a file is in the way") from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -63,7 +71,7 @@ def _fmt(value) -> str:
 def cmd_solve(cfg: RunConfig, workers: int) -> None:
     out = cfg.output_dir
     maps_dir = out / "maps"
-    maps_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(maps_dir)
     chash = cfg.config_hash()
 
     method = "SRMC (sequential)" if cfg.srmc.sequential else "RMC (non-sequential)"
@@ -175,7 +183,7 @@ def cmd_evaluate(cfg: RunConfig, map_paths: Sequence[str], allow_mismatch: bool,
         raise ConfigError("config has no 'evaluate' section")
     policies = _build_policies(cfg, map_paths, allow_mismatch, per_map_costs)
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     chash = cfg.config_hash()
 
     ev = cfg.evaluate
@@ -249,7 +257,7 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
         raise ConfigError("config has no 'simulate' section")
     sim = cfg.simulate
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     chash = cfg.config_hash()
 
     rng = RngStream(cfg.master_seed).derive(*SIM_REDUCED_STREAM)
@@ -296,7 +304,7 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
 def cmd_export_map(map_path: str, out_dir: str, grid_n: int) -> None:
     dmap = _load_map(map_path, "--map")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     doc_hash = hashlib.sha256(Path(map_path).read_bytes()).hexdigest()[:16]
 
     grid = lattice(dmap.domain, grid_n)

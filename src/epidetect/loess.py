@@ -26,8 +26,7 @@ sum over points, so fitting sums the copies of a site into one feature row,
 and the neighborhood count weighs each site by its copies. The radius is
 still the k-th smallest of the N point distances: the site distances are
 spread over the points and partitioned, so it has the bits of the N-point
-selection. A design without repeats keeps its points as sites, and their
-arrays and bits.
+selection.
 
 Every query, a block of any number of rows (zero included; a point query is
 one row), runs through one kernel, `LoessModel._fit`, at two block levels:
@@ -241,11 +240,9 @@ class LoessModel:
         self._r = r
         self._k = min(n, max(math.ceil(config.span * n), r))  # neighborhood size
 
-        # Distinct sites: a design without repeats keeps its points as sites
-        # (`_site` None), so its arrays, and their bits, are the points' own.
-        firsts, site = _sites(inputs)
-        self._site = site if firsts.size < n else None
-        self._counts = np.bincount(site).astype(float)  # copies per site, for BLAS products
+        # distinct sites: a design without repeats has N sites of one copy each
+        firsts, self._site = _sites(inputs)
+        self._counts = np.bincount(self._site).astype(float)  # copies per site, for BLAS products
         self._columns = scaled[firsts].T.copy()  # one contiguous row per coordinate
 
         # Moment features in a basis centered at the data's mean: column by
@@ -260,14 +257,12 @@ class LoessModel:
 
     def _site_sums(self, features: np.ndarray) -> np.ndarray:
         """Per-site sums of per-point feature rows, one `bincount` per column."""
-        if self._site is None:
-            return features
         return np.column_stack([np.bincount(self._site, col, self._counts.size)
                                 for col in features.T])
 
     def _at_points(self, a: np.ndarray) -> np.ndarray:
         """Per-site columns of `a` spread over the N points: each copy gets its site's."""
-        return a if self._site is None else a.take(self._site, axis=1)
+        return a.take(self._site, axis=1)
 
     @functools.cached_property
     def _se_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

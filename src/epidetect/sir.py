@@ -8,6 +8,11 @@ continuous-time Markov jump dynamics:
   transmission  S(k) + I(k') -> I(k) + I(k')  rate  alpha * beta * I(k') * S(k) / M(k)
   recovery      I(k)         -> (removed)     rate  gamma * I(k)
 
+`simulate_interval` lists the channels once, in a reaction table of rate
+laws and (pool, dS, dI) moves, in this order: the infections k = 0..K-1,
+the transmissions (k, k') for k = 0..K-1 and then k' != k, the recoveries
+k = 0..K-1.
+
 A state is plain counts, one susceptible and one infected count per pool;
 recovered counts are implicit: R(k) = M(k) - S(k) - I(k). Simulation is
 the exact stochastic simulation algorithm (Gillespie direct method) with
@@ -25,7 +30,9 @@ the path, and holding times are memoryless, so the law stays exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .rng import RngStream
@@ -129,12 +136,13 @@ def simulate_interval(
 
     `s` and `i` hold one susceptible and one infected count per pool; the
     result is the pair (s, i) of count tuples after `duration`. Waiting
-    times are exponential with the total rate; channels fire with
-    probability proportional to their rates, each moving one individual.
-    Draws follow the module's chunk protocol. If the total rate hits zero
-    the remaining interval passes without events or further draws. Raises
-    ValueError unless there is one count pair per pool and every pool has
-    S >= 0, I >= 0 and S + I <= M.
+    times are exponential with the total rate. An event's uniform times the
+    total picks the first channel of the reaction table whose running rate
+    sum exceeds it (the last if rounding leaves none), and the channel
+    moves one individual. Draws follow the module's chunk protocol. If the
+    total rate hits zero the remaining interval passes without events or
+    further draws. Raises ValueError unless there is one count pair per
+    pool and every pool has S >= 0, I >= 0 and S + I <= M.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -147,29 +155,22 @@ def simulate_interval(
         if sk < 0 or ik < 0 or sk + ik > m:
             raise ValueError(f"pool state S={sk}, I={ik} does not fit pool size {m}")
     gen = rng.generator
-    beta, gamma, alpha = params.beta, params.gamma, params.alpha
-    s, i = list(s), list(i)
-    pairs = [(k, kp) for k in range(K) for kp in range(K) if kp != k]
-    n_inf = K
-    n_trans = len(pairs)
-
+    beta, gamma = params.beta, params.gamma
+    # The state x = (S(0..K-1), I(0..K-1), 1) and the reaction table: channel
+    # j has rate c * x[a] * x[b] / m by its row (c, a, b, m) of `laws`, and
+    # its (pool, dS, dI) row of `moves` moves one individual. A recovery's
+    # rate gamma * I(k) * 1 / 1 is the float gamma * I(k).
+    x = [*s, *i, 1]
+    contacts = [(beta, K + k, k, sizes[k]) for k in range(K)] + [
+        (params.alpha * beta, K + kp, k, sizes[k]) for k in range(K) for kp in range(K) if kp != k]
+    laws = contacts + [(gamma, K + k, 2 * K, 1) for k in range(K)]
+    moves = [(k, -1, 1) for _, _, k, _ in contacts] + [(k, 0, -1) for k in range(K)]
+    last = len(moves) - 1
     t = 0.0
-    rates = [0.0] * (2 * K + n_trans)
     exps, us, used = [], [], 0
     while True:
-        total = 0.0
-        for k in range(K):
-            r = beta * i[k] * s[k] / sizes[k]
-            rates[k] = r
-            total += r
-        for j, (k, kp) in enumerate(pairs):
-            r = alpha * beta * i[kp] * s[k] / sizes[k]
-            rates[n_inf + j] = r
-            total += r
-        for k in range(K):
-            r = gamma * i[k]
-            rates[n_inf + n_trans + k] = r
-            total += r
+        acc = list(accumulate([c * x[a] * x[b] / m for c, a, b, m in laws]))
+        total = acc[-1]
         if total <= 0.0:
             break
         if used == len(exps):
@@ -179,24 +180,11 @@ def simulate_interval(
         t += exps[used] / total
         if t > duration:
             break
-        u = us[used] * total
+        k, ds, di = moves[bisect_right(acc, us[used] * total, 0, last)]  # hi clamps
         used += 1
-        acc = 0.0
-        idx = 0
-        for idx in range(len(rates)):
-            acc += rates[idx]
-            if u < acc:
-                break
-        if idx < n_inf:  # within-pool infection
-            s[idx] -= 1
-            i[idx] += 1
-        elif idx < n_inf + n_trans:  # cross-pool transmission
-            k = pairs[idx - n_inf][0]
-            s[k] -= 1
-            i[k] += 1
-        else:  # recovery
-            i[idx - n_inf - n_trans] -= 1
-    return tuple(s), tuple(i)
+        x[k] += ds
+        x[K + k] += di
+    return tuple(x[:K]), tuple(x[K:-1])
 
 
 def outbreak_time(i2: Sequence[int]) -> Optional[int]:

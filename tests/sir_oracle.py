@@ -2,8 +2,9 @@
 rates, a one-event Gillespie draw, the chunk draw protocol, and the
 scalar-draw single-pool sampler.
 
-`simulate_interval` inlines the same channel order and draw protocol for
-speed; these readable versions check it rate by rate and draw by draw.
+`simulate_interval` reads the same channel order from its reaction table
+and makes the same draws; these readable versions check it rate by rate
+and draw by draw.
 """
 from typing import NamedTuple, Optional, Sequence
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epidetect import cli
 from epidetect.cli import main
 from epidetect.solver import DetectionMap, surrogate_inputs
 
@@ -140,25 +141,28 @@ class TestSolveCommand:
         assert any(rnd["uniform_fallback"] for rnd in rounds)
 
     @staticmethod
-    def failing_solve(tmp_path, *flags):
-        # a file stands where the output directory goes: creating it fails at run time
-        (tmp_path / "blocker").write_text("")
+    def failing_solve(tmp_path, monkeypatch, *flags):
+        # the solver fails at run time, after the output directory is made
+        def solve(*args, **kwargs):
+            raise FloatingPointError("local fit diverged")
+
+        monkeypatch.setattr(cli, "solve", solve)
         cfg = write_config(tmp_path)
-        return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "blocker" / "o"),
+        return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--workers", "1", *flags])
 
-    def test_solver_failure_exits_3(self, tmp_path, capsys):
-        assert self.failing_solve(tmp_path) == 3
-        err = capsys.readouterr().err
-        assert err == f"error: [Errno 20] Not a directory: '{tmp_path / 'blocker/o/maps'}'\n"
+    def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        assert self.failing_solve(tmp_path, monkeypatch) == 3
+        assert capsys.readouterr().err == "error: local fit diverged\n"
 
     @pytest.mark.parametrize("flag", ["-v", "--verbose"])
-    def test_verbose_prints_the_traceback(self, tmp_path, capsys, flag):
-        assert self.failing_solve(tmp_path, flag) == 3
+    def test_verbose_prints_the_traceback(self, tmp_path, monkeypatch, capsys, flag):
+        assert self.failing_solve(tmp_path, monkeypatch, flag) == 3
         err = capsys.readouterr().err
         assert err.startswith("Traceback (most recent call last)")
-        assert "maps_dir.mkdir(parents=True, exist_ok=True)" in err
-        assert err.endswith(f"error: [Errno 20] Not a directory: '{tmp_path / 'blocker/o/maps'}'\n")
+        assert ", in cmd_solve\n" in err
+        assert 'raise FloatingPointError("local fit diverged")' in err
+        assert err.endswith("FloatingPointError: local fit diverged\nerror: local fit diverged\n")
 
     @pytest.mark.parametrize("variant, n0, flags, basis", [
         ("lp2d", 2, [], 3),
@@ -274,6 +278,23 @@ def test_bad_output_section_exits_2_and_writes_nothing(tmp_path, monkeypatch, ca
     assert main([command, "--config", str(cfg), "--workers", "1"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "evaluate", "simulate", "export-map"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below_a_file"])
+def test_out_through_a_file_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                        command, out):
+    write_config(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
+    source = ["--map", QUICK_MAP] if command == "export-map" else [
+        "--config", "config.json", "--workers", "1"]
+    assert main([command, *source, "--out", out]) == 2
+    err = capsys.readouterr().err
+    made = f"{out}/maps" if command == "solve" else out
+    assert err == f"config error: cannot make output directory {made}: a file is in the way\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.fixture(scope="module")

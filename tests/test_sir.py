@@ -129,14 +129,18 @@ class TestSimulateInterval:
 
     def test_first_event_iteration_matches_simulate_interval(self, case_params):
         """Iterating first_event reproduces simulate_interval draw for draw,
-        across chunk refills (the last two cases take several chunks)."""
+        across chunk refills (the last three cases take several chunks). Three
+        pools are the first case where the order of the transmission pairs
+        decides which pool a channel moves."""
         one_pool = EpidemicParams(0.75, 0.5, 0.01, (2000,))
+        three_pools = EpidemicParams(0.75, 0.5, 0.3, (800, 600, 400))
         for seed, params, s, i, min_events in [
             (4, case_params, (1990, 1995), (10, 5), 0),
             (9, case_params, (1990, 1995), (10, 5), 0),
             (13, one_pool, (1990,), (10,), 0),
             (17, one_pool, (1100,), (900,), 2 * _CHUNK),
             (21, case_params, (1100, 1700), (900, 300), 2 * _CHUNK),
+            (25, three_pools, (500, 450, 300), (200, 100, 50), 20 * _CHUNK),
         ]:
             duration = 3.0
             direct = simulate_interval(s, i, params, duration, RngStream(seed))
