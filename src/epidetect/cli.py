@@ -278,19 +278,23 @@ def cmd_simulate(cfg: RunConfig, workers: int) -> None:
         m2 = cfg.epidemic.pool_sizes[1]
         root = RngStream(cfg.master_seed).derive(*SIM_TWO_POOL_STREAM)
 
-        def ground_truth(lo: int, hi: int) -> list:
-            trajs = []
-            for stream in root.derive_span((), lo, hi):
-                traj = [((sim.x0.s1, m2), (sim.x0.i1, 0))]  # (s, i) count pairs per epoch
-                for _ in range(sim.horizon):
-                    traj.append(simulate_interval(*traj[-1], cfg.epidemic, 1.0, stream))
-                trajs.append(traj)
-            return trajs
+        def ground_truth(lo: int, hi: int) -> parallel.Block:
+            # the (path, epoch, pool) counts of S and of I
+            s = np.empty((hi - lo, sim.horizon + 1, 2), dtype=np.int64)
+            i = np.empty_like(s)
+            for n, stream in enumerate(root.derive_span((), lo, hi)):
+                x = (sim.x0.s1, m2), (sim.x0.i1, 0)
+                s[n, 0], i[n, 0] = x
+                for t in range(1, sim.horizon + 1):
+                    x = simulate_interval(*x, cfg.epidemic, 1.0, stream)
+                    s[n, t], i[n, t] = x
+            return s, i
 
+        s, i = parallel.indexed_map(ground_truth, sim.n_paths, workers)
         rows = []
-        for n, traj in enumerate(parallel.indexed_map(ground_truth, sim.n_paths, workers)):
-            theta = outbreak_time([i[1] for _s, i in traj])
-            for t, ((s1, s2), (i1, i2)) in enumerate(traj):
+        for n in range(sim.n_paths):
+            theta = outbreak_time(i[n, :, 1])
+            for t, ((s1, s2), (i1, i2)) in enumerate(zip(s[n].tolist(), i[n].tolist())):
                 rows.append([n, t, s1, i1, s2, i2, "" if theta is None else theta])
         _write_csv(out / "two_pool.csv",
                    ["path", "t", "s1", "i1", "s2", "i2", "theta"],

@@ -444,7 +444,7 @@ def build_map(
     root = RngStream(config.master_seed)
 
     def simulate_block(locs: np.ndarray, start: int) -> np.ndarray:
-        def run(lo: int, hi: int) -> np.ndarray:
+        def run(lo: int, hi: int) -> parallel.Block:
             rows = locs[lo:hi]
             i1 = rows[:, -2]
             s1 = rows[:, 0] if "s1" in MAP_COORDS[variant] else params.pool_sizes[0] - i1
@@ -452,9 +452,9 @@ def build_map(
             return scenario_costs(
                 (s1, i1, rows[:, -1]), streams, t, maps, params, costs, variant,
                 mpc_switch=config.mpc_switch,
-            )[1]
+            )
 
-        return np.array(parallel.indexed_map(run, locs.shape[0], workers))
+        return parallel.indexed_map(run, locs.shape[0], workers)[1]
 
     design = draw_design(box, config.n0, root.derive(t, LABEL_DESIGN, 0), params, variant)
     responses = simulate_block(design, 0)

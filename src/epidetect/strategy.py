@@ -185,26 +185,22 @@ def simulate_paths(
     variant = ModelVariant(variant)
     policies = tuple(policies)
 
-    def run(lo: int, hi: int) -> list:
+    def run(lo: int, hi: int) -> parallel.Block:
         stops, announced = _announced_by_all(policies, hi - lo)
         streams = rng.derive_span((), lo, hi)
-        return list(zip(*run_scenarios((x0.s1, x0.i1, x0.p), streams, horizon, params,
-                                       variant, stops if policies else None),
-                        announced.T))
+        return run_scenarios((x0.s1, x0.i1, x0.p), streams, horizon, params,
+                             variant, stops if policies else None) + (announced.T,)
 
-    s1, i1, p, last, announced = zip(*parallel.indexed_map(run, n_paths, workers))
+    s1, i1, p, last, announced = parallel.indexed_map(run, n_paths, workers)
     return FrozenPaths(
-        s1=np.array(s1),
-        i1=np.array(i1),
-        p=np.array(p),
-        last=np.array(last),
+        s1=s1, i1=i1, p=p, last=last,
         x0=x0,
         horizon=horizon,
         variant=variant,
         params=params,
         master_seed=rng.master_seed,
         stream_path=rng.path,
-        announced=tuple(zip(policies, np.array(announced).T)),
+        announced=tuple(zip(policies, announced.T)),
     )
 
 

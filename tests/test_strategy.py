@@ -173,8 +173,9 @@ class TestEvaluate:
         forked = simulate_paths(case_x0, 80, 10, case_params, ModelVariant.FULL3D,
                                 RngStream(17).derive(0, 0), workers=2)
         assert forks
-        for name in ("s1", "i1", "p"):
+        for name in ("s1", "i1", "p", "last"):
             assert np.array_equal(getattr(serial, name), getattr(forked, name)), name
+        assert serial.announced == forked.announced == ()  # no policies, zero columns
 
     def test_frozen_arrays(self, frozen, case_x0):
         shape = (200, 41)
