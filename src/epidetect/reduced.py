@@ -81,15 +81,29 @@ def _branching_unit(i: int, beta: float, gamma: float, duration: float, gen) -> 
     return k + gen.negative_binomial(k, 1.0 - b) if k > 0 else 0
 
 
+def update_p(i1: int, p: float, params: EpidemicParams, gen) -> float:
+    """One stage of P from the incoming I1 and P, with delta drawn from `gen`.
+
+    P' = clamp(P + alpha*beta*I1*(1-P) + delta, 0, 1), with delta drawn
+    from the centered Gaussian of standard deviation params.sigma_delta.
+    P = 1 is absorbing and consumes no noise draw.
+    """
+    if p == 1.0:
+        return 1.0
+    p_next = p + drift(i1, p, params) + gen.normal(0.0, params.sigma_delta)
+    if p_next <= 0.0:
+        return 0.0
+    return 1.0 if p_next >= 1.0 else p_next
+
+
 def step(s1: int, i1: int, p: float, params: EpidemicParams, variant: ModelVariant,
          rng: RngStream) -> tuple[int, int, float]:
     """Advance the detection state (s1, i1, p) of Python ints and a float by one stage.
 
     Pool-1 counts move first (SIR kernel or branching, by variant), then P
-    is updated with the drift evaluated at the incoming state:
-    P' = clamp(P + alpha*beta*I1*(1-P) + delta, 0, 1), with delta drawn
-    from the centered Gaussian of standard deviation params.sigma_delta.
-    P = 1 is absorbing and consumes no noise draw.
+    moves by `update_p`, with the drift evaluated at the incoming state.
+    A stage whose counts nobody reads, the horizon stage of a solver
+    scenario, takes `update_p` alone (see `solver.scenario_costs`).
     """
     gen = rng.generator
     if variant is ModelVariant.FULL3D:
@@ -101,12 +115,4 @@ def step(s1: int, i1: int, p: float, params: EpidemicParams, variant: ModelVaria
         i1_next = _branching_unit(i1, params.beta, params.gamma, 1.0, gen)
     else:
         raise ValueError(f"unknown model variant: {variant!r}")
-
-    if p == 1.0:
-        return s1_next, i1_next, 1.0
-    p_next = p + drift(i1, p, params) + gen.normal(0.0, params.sigma_delta)
-    if p_next <= 0.0:
-        p_next = 0.0
-    elif p_next >= 1.0:
-        p_next = 1.0
-    return s1_next, i1_next, p_next
+    return s1_next, i1_next, update_p(i1, p, params, gen)

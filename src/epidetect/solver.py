@@ -24,7 +24,13 @@ announce boundary stops moving: `trace_distance`, the sup distance in P
 between the boundary traces of consecutive maps, falls below a tolerance.
 Scenarios run in blocks through `run_scenarios`, the one stepping loop of
 the package, which also steps the evaluation paths of `strategy`: each
-stage asks the stop rule once for all live scenarios of the block.
+stage asks the stop rule once for all live scenarios of the block. A
+scenario of iteration t runs through it for stages 1..t-1 only. Stage t
+stops every scenario still live without reading its counts, and the
+realized cost reads only P, so there a scenario takes the P update alone,
+with delta drawn from its own stream where its stage-t Pool-1 draws would
+have started: Pool 1 is never simulated at the horizon stage, and every
+cost keeps its law.
 
 Designs grow sequentially: an initial Latin hypercube design is augmented
 in batches drawn toward the current announce/wait boundary, where the sign
@@ -52,7 +58,7 @@ from .design import (
 )
 from .loess import LoessConfig, LoessModel
 from .loess import fit as loess_fit
-from .reduced import ModelVariant, ReducedState, step
+from .reduced import ModelVariant, ReducedState, step, update_p
 from .rng import RngStream
 from .sir import EpidemicParams
 
@@ -378,20 +384,33 @@ def scenario_costs(
     map once, for all live scenarios of the block. `starts = (s1, i1, p)` as
     in `run_scenarios`. Returns the stopping stages and their realized
     costs, scored in one `pathwise_cost` pass over the block.
+
+    Stages 1..t-1 run through `run_scenarios`. Stage t reads no counts, and
+    the cost reads only P, so the scenarios live there take only the P
+    update (`update_p`, from the stage-(t-1) I1 and P) and never simulate
+    Pool 1: delta comes from the scenario's stream where its stage-t Pool-1
+    draws would have started, so every cost keeps its law.
     """
     if t < 1:
         raise ValueError(f"iteration t must be at least 1, got {t}")
     if len(maps) < t - 1:
         raise ValueError(f"iteration {t} needs {t - 1} earlier maps, got {len(maps)}")
     mpc = mpc_switch is not None and t > mpc_switch
+    stopped = np.zeros(len(streams), dtype=bool)
 
     def stops(s, rows, s1, i1, p):
-        if s == t:
-            return np.ones(rows.size, dtype=bool)
         dmap = maps[t - 2] if mpc else maps[t - s - 1]
-        return dmap.score_locations(dmap.location(s1, i1, p)) > 0.0
+        stop = dmap.score_locations(dmap.location(s1, i1, p)) > 0.0
+        stopped[rows[stop]] = True
+        return stop
 
-    _, _, p, taus = run_scenarios(starts, streams, t, params, variant, stops)
+    _, i1, p, taus = run_scenarios(starts, streams, t - 1, params, variant, stops)
+    live = np.flatnonzero(~stopped)
+    p = np.column_stack([p, np.full(len(streams), np.nan)])
+    p[live, t] = [update_p(i, q, params, streams[j].generator)
+                  for j, i, q in zip(live.tolist(), i1[live, t - 1].tolist(),
+                                     p[live, t - 1].tolist())]
+    taus[live] = t
     return taus, pathwise_cost(p, taus, costs)
 
 

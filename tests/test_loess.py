@@ -385,6 +385,30 @@ class TestBlockKernel:
             np.testing.assert_allclose(means, value, rtol=0, atol=1e-10)
             assert np.all(stderrs == 0.0)
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_constant_responses_off_ybar_zero_stderr(self, order):
+        # Two halves of constant responses, neither equal to ybar (2.5, the
+        # response nearest their mean): the residual sums of neighborhoods
+        # inside one half cancel to rounding noise, of about 1e-8 in the
+        # standard error without the floor, whatever the features' order.
+        rng = np.random.default_rng(31)
+        X = rng.uniform(0, 1, size=(400, 2))
+        y = np.where(X[:, 0] < 0.5, 3.7, 1.3)
+        y[np.abs(X[:, 0] - 0.5) < 0.02] = 2.5
+        Q = np.column_stack([rng.choice([0.05, 0.95], 600), rng.uniform(0, 1, 600)])
+        Q[:, 0] += rng.uniform(-0.05, 0.05, 600)
+        model = fit(X, y, LoessConfig(span=0.1))
+        zz, symmetric, zyt = model._se_features
+        assert model._features.flags.f_contiguous and zz.flags.f_contiguous
+        if order == "C":
+            model._features = np.ascontiguousarray(model._features)
+            model._se_features = (np.ascontiguousarray(zz), symmetric,
+                                  np.ascontiguousarray(zyt))
+        means, stderrs = model.predict_many(Q)
+        np.testing.assert_allclose(means, np.where(Q[:, 0] < 0.5, 3.7, 1.3), rtol=0,
+                                   atol=1e-12)
+        assert np.all(stderrs == 0.0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_far_queries_match_dense_wls(self, d):
         rng = np.random.default_rng(17 + d)

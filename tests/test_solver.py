@@ -60,11 +60,13 @@ class StubMap:
 @pytest.fixture
 def script_p(monkeypatch):
     """Deterministic dynamics for `path_and_cost`: P walks through the given
-    values, counts frozen."""
+    values, counts frozen. Stages below t take them through `step`, the
+    horizon stage t through its P-only update."""
     def install(p_values):
         it = iter(p_values)
         monkeypatch.setattr(solver, "step",
                             lambda s1, i1, p, *args, **kwargs: (s1, i1, next(it)))
+        monkeypatch.setattr(solver, "update_p", lambda *args: next(it))
 
     return install
 
@@ -309,6 +311,65 @@ class TestScenarioCostsAsks:
         assert np.all(taus == 1)
 
 
+class NormalCounter:
+    """A generator that counts its `normal` draws and passes every draw on."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.normals = 0
+
+    def normal(self, *args):
+        self.normals += 1
+        return self._gen.normal(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class TestHorizonStage:
+    """Stage t of `scenario_costs` moves P alone: Pool 1 is simulated only at
+    stages below t, and delta is the next draw of the scenario's stream."""
+
+    @pytest.mark.parametrize("variant, kernel", [(ModelVariant.FULL3D, "single_pool_interval"),
+                                                 (ModelVariant.LP2D, "_branching_unit")])
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_pool_1_is_stepped_below_the_horizon_only(self, variant, kernel, t, case_params,
+                                                      case_costs, monkeypatch):
+        calls, horizon = [], []
+        pool_1 = getattr(reduced, kernel)
+        monkeypatch.setattr(reduced, kernel, lambda *args: calls.append(1) or pool_1(*args))
+
+        def p_only(i1, p, params, gen):
+            counter = NormalCounter(gen)
+            out = reduced.update_p(i1, p, params, counter)
+            horizon.append(counter.normals)
+            return out
+
+        monkeypatch.setattr(solver, "update_p", p_only)
+        root = RngStream(914)
+        m, x0 = 40, (1990, 10, 0.1)
+        streams = root.derive_span((), 0, m)
+        maps = [StubMap(lambda x: x.i1 > 12)] * (t - 1)
+        taus, _ = solver.scenario_costs(x0, streams, t, maps, case_params, case_costs,
+                                        variant)
+        stepped = np.minimum(taus, t - 1)
+        assert len(calls) == stepped.sum()  # one per live scenario and stage s < t
+        if t == 1:
+            assert not calls
+        else:
+            assert np.any(taus < t) and np.any(taus == t)
+        assert horizon == [1] * int(np.count_nonzero(taus == t))  # one normal each
+        # each stream stands where the reference draws leave it
+        for j, (stream, tau) in enumerate(zip(streams, taus.tolist())):
+            ref = root.derive(j)
+            x = x0
+            for _ in range(stepped[j]):
+                x = step(*x, case_params, variant, ref)
+            if tau == t:
+                ref.generator.normal(0.0, case_params.sigma_delta)
+            np.testing.assert_array_equal(stream.generator.random(8), ref.generator.random(8))
+
+
 @pytest.fixture(scope="module")
 def small_lp_map(case_params, case_costs):
     cfg = SrmcConfig(
@@ -415,13 +476,19 @@ class TestBuildMap:
 
 
 def reference_path_and_cost(x0, t, maps, params, costs, variant, rng, mpc_switch):
-    """One scenario stepped alone, asking `announce` of one state per stage."""
+    """One scenario stepped alone, asking `announce` of one state per stage.
+
+    Stages below t step Pool 1 and P; the horizon stage t, which stops the
+    scenario without reading its counts, updates P alone."""
     mpc = mpc_switch is not None and t > mpc_switch
     p_path, x = [x0.p], x0
     for s in range(1, t + 1):
+        if s == t:
+            p_path.append(reduced.update_p(x.i1, x.p, params, rng.generator))
+            break
         x = ReducedState(*step(x.s1, x.i1, x.p, params, variant, rng))
         p_path.append(x.p)
-        if s == t or (maps[t - 2] if mpc else maps[t - s - 1]).announce(x):
+        if (maps[t - 2] if mpc else maps[t - s - 1]).announce(x):
             break
     waiting = 0.0
     for p in p_path[:s]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -385,3 +386,26 @@ class TestPairedCompare:
         assert 0.0 <= cmp.frac_a_better + cmp.frac_b_better <= 1.0
         assert cmp.mean_diff == pytest.approx(a.mean_cost - b.mean_cost, rel=1e-10)
 
+
+
+# sha256 of the paths and evaluations of the test below, recorded before the
+# solver's horizon stage stopped simulating Pool 1: that change moves solver
+# responses only, and the evaluation paths keep every byte
+PATHS_DIGEST = "34020aaf89015a9fed813127b0d1429dbdaa57f781a84e01b22e71c91c533f24"
+
+
+def test_paths_and_evaluations_match_the_recorded_digest(case_params, case_costs):
+    digest = hashlib.sha256()
+    policies = (ThresholdP(0.8), ThresholdT(8))
+    for variant in ModelVariant:
+        for simulated_with in ((), policies):
+            paths = simulate_paths(ReducedState(1990, 10, 0.1), 60, 15, case_params, variant,
+                                   RngStream(2718, (3,)), policies=simulated_with)
+            for a in (paths.s1, paths.i1, paths.p, paths.last,
+                      *(stages for _, stages in paths.announced)):
+                digest.update(np.ascontiguousarray(a).tobytes())
+            for policy in policies:
+                report = evaluate_on(policy, paths, case_costs)
+                for a in (report.taus, report.costs, report.p_taus):
+                    digest.update(a.tobytes())
+    assert digest.hexdigest() == PATHS_DIGEST
