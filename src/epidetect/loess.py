@@ -4,14 +4,13 @@ Memory-based smoother in the style of Cleveland's loess: a prediction at a
 query point fits a weighted least-squares linear function to the
 k = max(ceil(span * N), d + 1) nearest data points, weighted by the tricube
 kernel w = (1 - (dist / dist_max)^3)^3 in per-coordinate standardized
-Euclidean distance. Each prediction exposes
+Euclidean distance. A query returns the fitted mean b(x)' betahat(x) and,
+on request, the predictive standard error sqrt(sigma2(x)) * ||l(x)||, with
 
-  * the fitted mean b(x)' betahat(x),
   * the equivalent-kernel row l(x)' = b(x)' (B'WB)^{-1} B'W, whose entries
-    sum to one and express the prediction as a weighted average of the
-    responses,
-  * a local noise level sigma2(x) from weighted neighborhood residuals,
-  * the predictive standard error sqrt(sigma2(x)) * ||l(x)||.
+    sum to one and express the mean as a weighted average of the responses
+    (the mean is linear in them),
+  * a local noise level sigma2(x) from weighted neighborhood residuals.
 
 The model is the data: fitting stores inputs, responses and per-coordinate
 scales, plus the per-site moment features below, nothing else. The
@@ -32,13 +31,14 @@ Every query, a block of any number of rows (zero included; a point query is
 one row), runs through one kernel, `LoessModel._fit`, at two block levels:
 
   * per block of `_BLOCK_ENTRIES` point distances (N per row), `_weigh`
-    makes the passes over the sites: squared distances, summed coordinate
-    by coordinate over contiguous site columns, a row-wise partition of the
-    N point distances for the k-th one, the tricube weights (0 outside the
-    neighborhood) and the weighted moments, each from one (1 x S)(S x m)
-    product per row over the S sites. The (S x m) features are column-major,
-    the order in which OpenBLAS runs that product fastest (12 us against
-    20 us C-ordered for a 16-row block at S = 350, 2-core x86 VM);
+    makes the passes over the sites: `_weights` sums the squared distances
+    coordinate by coordinate over contiguous site columns, partitions the
+    N point distances row-wise for the k-th one and gives the tricube
+    weights (0 outside the neighborhood); then the weighted moments, each
+    from one (1 x S)(S x m) product per row over the S sites. The (S x m)
+    features are column-major, the order in which OpenBLAS runs that
+    product fastest (12 us against 20 us C-ordered for a 16-row block at
+    S = 350, 2-core x86 VM);
   * per batch of `_BATCH_ROWS` rows, `_solve` does the r x r algebra, so
     its few dozen small array operations are paid once per batch rather
     than once per block of 16 rows (N = 1000). The batch is bounded
@@ -79,8 +79,7 @@ with no pass over the N points that evaluates the local fit:
 A nearly singular local system makes a large, and the terms of a' Z'W^2Z a
 then cancel. Rows that lose more than five digits there take the explicit
 passes instead: l = w * (Z a) and the residuals y - Z beta at all N points,
-with each site's weight spread over its copies. The equivalent-kernel row
-itself, one entry per point, is built only on request.
+with each site's weight spread over its copies.
 
 Rows never mix: every product runs per row, and small sums run left to
 right as elementwise operations over the rows, so a query gets the same
@@ -90,8 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,18 +199,6 @@ def _backward(lt: np.ndarray, x: np.ndarray) -> None:
         x[i] /= lt[i, i]
 
 
-@dataclass(frozen=True)
-class LoessPrediction:
-    """Prediction at one query point."""
-
-    mean: float
-    stderr: float
-    kernel_norm: float
-    local_sigma2: float
-    degenerate: bool = False  # True when the local system was singular
-    kernel: Optional[np.ndarray] = field(default=None, repr=False)  # length-N row l(x)
-
-
 class LoessModel:
     """Fitted (memory-based) local regression model."""
 
@@ -318,17 +304,19 @@ class LoessModel:
                 np.add(d2, diff, out=d2)
         return d2
 
-    def _weigh(self, q: np.ndarray, with_se: bool, with_kernel: bool) -> tuple:
-        """The site passes for the standardized queries `q` (rows of one block).
+    def _weights(self, q: np.ndarray) -> tuple:
+        """The tricube site weights for the standardized queries `q` (rows).
 
-        Returns (mz,) with the moments [Z y]' W [Z y], and for standard errors
-        also (Z'W^2Z, [Z'W yt, yt'W yt], k_size), plus the (rows x N) weights
-        of the points when `with_kernel` is set.
+        Returns (d2, d2max, w, mz): the squared site distances, the squared
+        radius, the (rows x S) weights and the moments [Z y]' W [Z y].
         """
         k, r = self._k, self._r
         d2 = self._sq_distances(q)
-        # the k-th smallest of the N point distances (k = n: the row maximum)
-        d2max = np.partition(self._at_points(d2), k - 1, axis=1)[:, k - 1]
+        # the k-th smallest of the N point distances (k = n: the row maximum),
+        # partitioned in place in the spread copy
+        points = self._at_points(d2)
+        points.partition(k - 1, axis=1)
+        d2max = points[:, k - 1]
 
         # tricube weights by products, clipped at 0 outside the neighborhood
         # (the row scales are copied along their rows first, as in `_sq_distances`)
@@ -348,24 +336,32 @@ class LoessModel:
         if flat.any():
             w[flat] = d2[flat] <= d2max[flat, None]
             mz[flat] = self._moments(w[flat])
+        return d2, d2max, w, mz
+
+    def _weigh(self, q: np.ndarray, with_se: bool) -> tuple:
+        """The site passes for the standardized queries `q` (rows of one block).
+
+        Returns (mz,) with the moments [Z y]' W [Z y], and for standard errors
+        also (Z'W^2Z, [Z'W yt, yt'W yt], k_size).
+        """
+        r = self._r
+        d2, d2max, w, mz = self._weights(q)
         if not with_se:
             return (mz,)
         zz_features, symmetric, zyt = self._se_features
-        np.multiply(w, w, out=cube)
-        zz = (cube[:, None, :] @ zz_features)[:, 0, symmetric].reshape(-1, r, r)
+        zz = ((w * w)[:, None, :] @ zz_features)[:, 0, symmetric].reshape(-1, r, r)
         zy = (w[:, None, :] @ zyt)[:, 0]
         # every copy counts, boundary ties included
         k_size = (d2 <= d2max[:, None]) @ self._counts
-        return (mz, zz, zy, k_size) + ((self._at_points(w),) if with_kernel else ())
+        return mz, zz, zy, k_size
 
     def _solve(self, q: np.ndarray, with_se: bool, mz: np.ndarray, zz=None, zy=None,
-               k_size=None, w=None):
+               k_size=None):
         """The r x r algebra for the standardized queries `q` (rows of one batch).
 
         Takes the moments of `_weigh` for the same rows. Returns the tuple
         (mean,) when `with_se` is false, else (mean, stderr, kernel_norm,
-        sigma2, degenerate), with the (rows x N) equivalent-kernel rows
-        appended when the weights `w` are given.
+        sigma2, degenerate).
         """
         b, r = q.shape[0], self._r
         sw = mz[:, r - 1, r - 1]
@@ -425,7 +421,7 @@ class LoessModel:
         # explicit passes over the N points
         ill = knorm2 <= 1e-5 * _row_dot(np.abs(a), np.sqrt(np.diagonal(zz, 0, 1, 2))) ** 2
         if ill.any():
-            w_ill = self._weigh(q[ill], True, True)[-1]
+            w_ill = self._at_points(self._weights(q[ill])[2])
             kern = w_ill * (self._z @ a[ill, :, None])[:, :, 0]
             resid = self.responses - (self._z @ coef[ill, :, :1])[:, :, 0]
             knorm2[ill] = (kern[:, None, :] @ kern[:, :, None])[:, 0, 0]
@@ -435,12 +431,9 @@ class LoessModel:
         sigma2 = np.zeros(b)
         pos = dof > 0
         sigma2[pos] = np.maximum(ssr[pos] / (sw[pos] * dof[pos]), 0.0)
-        out = (mean, np.sqrt(sigma2) * knorm, knorm, sigma2, singular)
-        if w is None:
-            return out
-        return out + (np.multiply(w, (self._z @ a[:, :, None])[:, :, 0], out=w),)
+        return mean, np.sqrt(sigma2) * knorm, knorm, sigma2, singular
 
-    def _fit(self, xs: np.ndarray, with_se: bool, with_kernel: bool = False) -> tuple:
+    def _fit(self, xs: np.ndarray, with_se: bool) -> tuple:
         """Local fits at the rows of the 2-D array `xs`, any number, 0 included.
 
         Row batches of `_BATCH_ROWS` run `_weigh` block by block and then one
@@ -455,7 +448,7 @@ class LoessModel:
         batches = []
         for lo in range(0, max(q.shape[0], 1), _BATCH_ROWS):
             batch = q[lo:lo + _BATCH_ROWS]
-            blocks = [self._weigh(batch[i:i + rows], with_se, with_kernel)
+            blocks = [self._weigh(batch[i:i + rows], with_se)
                       for i in range(0, max(batch.shape[0], 1), rows)]
             batches.append(self._solve(batch, with_se, *map(np.concatenate, zip(*blocks))))
         return tuple(map(np.concatenate, zip(*batches)))
@@ -467,14 +460,6 @@ class LoessModel:
     def predict_mean_many(self, xs) -> np.ndarray:
         """Fitted means at each row of `xs` (fast path)."""
         return self._fit(np.atleast_2d(np.asarray(xs, dtype=float)), with_se=False)[0]
-
-    def predict(self, x, with_kernel: bool = False) -> LoessPrediction:
-        """Local fit at the query point `x` (length-d array-like)."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        mean, stderr, knorm, sigma2, degenerate, *kern = self._fit(x, True, with_kernel)
-        return LoessPrediction(float(mean[0]), float(stderr[0]), float(knorm[0]),
-                               float(sigma2[0]), bool(degenerate[0]),
-                               kern[0][0] if kern else None)
 
     def predict_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Means and standard errors at each row of `xs`."""

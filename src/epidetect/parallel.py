@@ -14,12 +14,17 @@ every child before it returns or raises.
 
 A call forks only when every process gets at least `_MIN_PER_WORKER`
 (256) items; smaller calls run in the caller. Measured on a 2-core
-machine, a trivial fork-join costs 2.3 ms, and the parent's half-span
-runs about as long as the whole serial span (copy-on-write faults on both
-sides). So a 150-scenario lp2d solve span took 3.2-5.9 ms in one process
-against 5.8-10.0 ms in two, and 200-scenario full3d solve spans gained
-under 10 %, while the 1000-path full3d evaluation still gains about 40 %
-(in-process medians of 0.30 s serial against 0.18 s in two).
+machine, a trivial fork-join costs 2.7 ms in a fresh process and 4-6 ms
+after a quick_lp solve has grown the heap. The fork also leaves every
+page of the caller copy-on-write, so the caller takes a minor fault on
+each page it writes again, after the call as well: a quick_lp solve run
+after one fork-join took about 1000 more faults and 4 ms more system time
+than one run after none. The parent's half-span runs about as long as the
+whole serial span (faults on both sides). So a 150-scenario lp2d solve
+span took 3.2-5.9 ms in one process against 5.8-10.0 ms in two, and
+200-scenario full3d solve spans gained under 10 %, while the 1000-path
+full3d evaluation still gains about 40 % (in-process medians of 0.30 s
+serial against 0.18 s in two).
 
 Each simulated scenario owns its random stream, so a result never depends
 on which span holds its index or on how many processes share the work.

@@ -257,7 +257,8 @@ class DetectionMap:
         line = on_extinct_line(locs) & ~certain
         fitted = ~line & ~certain
         scores = np.full(locs.shape[0], self.costs.c_delay)
-        scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
+        if line.any():  # the exact margin costs about 13 us even on no rows
+            scores[line] = extinct_margin(locs[line, -1], self.epidemic, self.costs)
         scores[fitted] = (self.surrogate.predict_mean_many(surrogate_inputs(locs[fitted]))
                           - immediate_cost(locs[fitted, -1], self.costs))
         return scores

@@ -87,6 +87,23 @@ def dense_wls_stderr(X, y, x, span):
     return math.sqrt(sigma2) * knorm, knorm, float(sigma2)
 
 
+def local_fits(model, xs):
+    """The kernel's (mean, stderr, ||l||, sigma2, degenerate) at each row of `xs`."""
+    return model._fit(np.atleast_2d(np.asarray(xs, dtype=float)), with_se=True)
+
+
+def equivalent_kernel(model, xs):
+    """The equivalent-kernel rows l(x), one per row of `xs`, read off the mean.
+
+    The fitted mean is linear in the responses, so entry i of l(x) is the
+    mean at x of a refit on the unit response e_i: the refit has the same
+    inputs, so the same sites and weights.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return np.column_stack([fit(model.inputs, unit, model.config).predict_mean_many(xs)
+                            for unit in np.eye(model.n_points)])
+
+
 class TestFitValidation:
     def test_underdetermined_errors(self):
         # r = 3 for d = 2 linear; r - 1 points must be rejected
@@ -102,8 +119,7 @@ class TestFitValidation:
             fit(np.array([[0.0], [1.0]]), [1.0, np.inf], LoessConfig(span=1.0))
         model = fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                     [1.0, 2.0, 3.0, 4.0], LoessConfig(span=1.0))
-        for query in (model.predict, model.predict_mean,
-                      model.predict_many, model.predict_mean_many):
+        for query in (model.predict_mean, model.predict_many, model.predict_mean_many):
             with pytest.raises(ValueError):
                 query([0.5, np.nan])
             with pytest.raises(ValueError):
@@ -122,8 +138,8 @@ class TestFitValidation:
         X = np.vstack([X, X[:5], X[:5]])  # heavy replication is expected usage
         y = X[:, 0] + rng.normal(0, 0.05, len(X))
         model = fit(X, y, LoessConfig(span=0.8))
-        pred = model.predict(X[0])
-        assert np.isfinite(pred.mean) and np.isfinite(pred.stderr)
+        means, stderrs = model.predict_many(X[:1])
+        assert np.isfinite(means[0]) and np.isfinite(stderrs[0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -138,9 +154,9 @@ class TestExactness:
         X = rng.uniform(-1, 2, size=(40, 1))
         y = 2.0 * X[:, 0] + 1.0
         model = fit(X, y, LoessConfig(span=0.4))
-        for xq in np.linspace(-0.5, 1.5, 11):
-            pred = model.predict([xq])
-            assert pred.mean == pytest.approx(2.0 * xq + 1.0, abs=1e-8)
+        xq = np.linspace(-0.5, 1.5, 11)
+        np.testing.assert_allclose(model.predict_mean_many(xq[:, None]), 2.0 * xq + 1.0,
+                                   rtol=0, atol=1e-8)
 
     def test_constant_responses_exact_with_zero_stderr(self):
         rng = np.random.default_rng(6)
@@ -148,19 +164,17 @@ class TestExactness:
         # the mean of 25 copies of 0.7 rounds away from 0.7; of 3.25 it does not
         for value in (3.25, 0.7):
             model = fit(X, np.full(25, value), LoessConfig(span=0.6))
-            pred = model.predict([0.4, 0.7])
-            assert pred.mean == pytest.approx(value, abs=1e-10)
-            assert pred.stderr == 0.0
+            means, stderrs = model.predict_many([0.4, 0.7])
+            assert means[0] == pytest.approx(value, abs=1e-10)
+            assert stderrs[0] == 0.0
 
     def test_kernel_sums_to_one(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 5, size=(60, 3))
         y = rng.normal(size=60)
         model = fit(X, y, LoessConfig(span=0.5))
-        for _ in range(20):
-            xq = rng.uniform(0.5, 4.5, size=3)
-            pred = model.predict(xq, with_kernel=True)
-            assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-10)
+        kernel = equivalent_kernel(model, rng.uniform(0.5, 4.5, size=(20, 3)))
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-10)
 
 
 class TestOracleEquivalence:
@@ -173,12 +187,11 @@ class TestOracleEquivalence:
         X = rng.uniform(0, 5, size=(n, d))
         y = rng.normal(size=n) + X.sum(axis=1)
         model = fit(X, y, LoessConfig(span=span))
-        for _ in range(5):
-            xq = rng.uniform(0.5, 4.5, size=d)
-            pred = model.predict(xq, with_kernel=True)
+        Q = rng.uniform(0.5, 4.5, size=(5, d))
+        for xq, mean, kernel in zip(Q, model.predict_many(Q)[0], equivalent_kernel(model, Q)):
             mean_o, l_o = dense_wls_oracle(X, y, xq, span, 1)
-            assert pred.mean == pytest.approx(mean_o, abs=1e-8)
-            np.testing.assert_allclose(pred.kernel, l_o, atol=1e-8)
+            assert mean == pytest.approx(mean_o, abs=1e-8)
+            np.testing.assert_allclose(kernel, l_o, atol=1e-8)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("seed", range(8))
@@ -192,11 +205,11 @@ class TestOracleEquivalence:
         model = fit(X, y, LoessConfig(span=span))
         Q = rng.uniform(0.5, 4.5, size=(5, d))
         reference = np.array([dense_wls_stderr(X, y, xq, span) for xq in Q])
-        _, stderrs = model.predict_many(Q)
-        preds = [model.predict(xq) for xq in Q]
-        assert not any(p.degenerate for p in preds)
-        got = [(se, p.kernel_norm, p.local_sigma2) for se, p in zip(stderrs, preds)]
-        np.testing.assert_allclose(got, reference, rtol=1e-8, atol=0)
+        _, stderrs, knorm, sigma2, degenerate = local_fits(model, Q)
+        assert not degenerate.any()
+        np.testing.assert_array_equal(stderrs, model.predict_many(Q)[1])
+        np.testing.assert_allclose(np.column_stack([stderrs, knorm, sigma2]), reference,
+                                   rtol=1e-8, atol=0)
 
 
 class TestPredictionProperties:
@@ -208,38 +221,33 @@ class TestPredictionProperties:
         a = fit(X, y, LoessConfig(span=0.5))
         b = fit(X[perm], y[perm], LoessConfig(span=0.5))
         xq = [0.5, 0.5]
-        pa, pb = a.predict(xq), b.predict(xq)
-        assert pa.mean == pytest.approx(pb.mean, abs=1e-10)
-        assert pa.stderr == pytest.approx(pb.stderr, abs=1e-10)
+        np.testing.assert_allclose(a.predict_many(xq), b.predict_many(xq), rtol=0, atol=1e-10)
 
     def test_stderr_composition(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, size=(50, 2))
         y = rng.normal(size=50)
         model = fit(X, y, LoessConfig(span=0.5))
-        pred = model.predict([0.3, 0.3])
-        assert pred.stderr == pytest.approx(
-            math.sqrt(pred.local_sigma2) * pred.kernel_norm, rel=1e-12
-        )
+        _, stderr, knorm, sigma2, _ = local_fits(model, [0.3, 0.3])
+        assert stderr[0] == pytest.approx(math.sqrt(sigma2[0]) * knorm[0], rel=1e-12)
 
     def test_query_duplicate_gets_full_weight(self):
         X = np.array([[0.0], [0.5], [1.0], [1.5], [2.0]])
         y = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
         model = fit(X, y, LoessConfig(span=0.8))
-        pred = model.predict([1.0], with_kernel=True)
         # tricube weight at distance zero is 1; prediction well-defined
-        assert np.isfinite(pred.mean)
-        assert pred.kernel[2] != 0.0
+        assert np.isfinite(model.predict_mean([1.0]))
+        assert equivalent_kernel(model, [1.0])[0, 2] != 0.0
 
     def test_singular_local_system_falls_back_to_weighted_mean(self):
         # constant second coordinate: centered basis column identically zero
         X = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
         y = np.arange(10.0) ** 2
         model = fit(X, y, LoessConfig(span=1.0))
-        pred = model.predict([4.0, 3.0], with_kernel=True)
-        assert pred.degenerate
-        assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
-        assert min(y) <= pred.mean <= max(y)
+        mean, _, _, _, degenerate = local_fits(model, [4.0, 3.0])
+        assert degenerate[0]
+        assert equivalent_kernel(model, [4.0, 3.0]).sum() == pytest.approx(1.0, abs=1e-12)
+        assert min(y) <= mean[0] <= max(y)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_predict_many_matches_predict(self, d):
@@ -251,9 +259,9 @@ class TestPredictionProperties:
         means, stderrs = model.predict_many(Q)
         batch_means = model.predict_mean_many(Q)
         for j in range(12):
-            pred = model.predict(Q[j])
-            assert means[j] == pred.mean == batch_means[j] == model.predict_mean(Q[j])
-            assert stderrs[j] == pred.stderr
+            mean, stderr = model.predict_many(Q[j])
+            assert means[j] == mean[0] == batch_means[j] == model.predict_mean(Q[j])
+            assert stderrs[j] == stderr[0]
 
 
 class TestBlockKernel:
@@ -288,9 +296,7 @@ class TestBlockKernel:
         for X in (X, X[rng.integers(0, 30, 80)]):
             y = rng.normal(size=80) + X.sum(axis=1)
             model = fit(X, y, LoessConfig(span=0.5))
-            preds = [model.predict(q) for q in Q]
-            means = np.array([p.mean for p in preds])
-            stderrs = np.array([p.stderr for p in preds])
+            means, stderrs = np.array([model.predict_many(q) for q in Q])[:, :, 0].T
             np.testing.assert_array_equal(means, [model.predict_mean(q) for q in Q])
             # one row per block, 7 rows per block (the last one partial), the
             # default; batches of one row, of 7 rows, the default (600 rows overrun it)
@@ -321,19 +327,20 @@ class TestBlockKernel:
         Q = np.column_stack([rng.uniform(101.0, 118.0, 600), rng.choice([-1.0, 1.0], 600)])
         singular = [1, 3, 520, 599]  # the last two lie beyond the first default batch
         Q[singular] = [[10.0, 0.0], [6.5, 0.0], [3.0, 0.0], [15.5, 0.0]]
-        preds = [model.predict(q, with_kernel=True) for q in Q]
-        assert [j for j, p in enumerate(preds) if p.degenerate] == singular
-        for j, pred in enumerate(preds):
-            assert pred.mean == model.predict_mean(Q[j])
-            if pred.degenerate:  # weighted mean of the neighborhood
-                assert pred.mean == pytest.approx(pred.kernel @ y, abs=1e-12)
-                assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
-                assert np.all(pred.kernel[21:] == 0.0)
+        point_fits = np.array([local_fits(model, q) for q in Q])[:, :, 0]
+        degenerate = point_fits[:, 4].astype(bool)
+        assert list(np.flatnonzero(degenerate)) == singular
+        np.testing.assert_array_equal(point_fits[:, 0], [model.predict_mean(q) for q in Q])
+        # weighted means of the neighborhood
+        kernel = equivalent_kernel(model, Q[singular])
+        np.testing.assert_allclose(point_fits[singular, 0], kernel @ y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(kernel[:, 21:] == 0.0)
         for rows in (1, 7, loess._BATCH_ROWS):  # batches of one row, of 7, the default
             monkeypatch.setattr(loess, "_BATCH_ROWS", rows)
             means, stderrs = model.predict_many(Q)
-            np.testing.assert_array_equal(means, [p.mean for p in preds])
-            np.testing.assert_array_equal(stderrs, [p.stderr for p in preds])
+            np.testing.assert_array_equal(means, point_fits[:, 0])
+            np.testing.assert_array_equal(stderrs, point_fits[:, 1])
             np.testing.assert_array_equal(model.predict_mean_many(Q), means)
 
     def test_row_batches_bound_memory(self):
@@ -364,16 +371,15 @@ class TestBlockKernel:
         Q = np.vstack([X[0], rng.uniform(0, 1, size=(20, 2)), near, X[0]])
         means, stderrs = model.predict_many(Q)
         for j, q in enumerate(Q):
-            pred = model.predict(q)
-            assert means[j] == pred.mean == model.predict_mean(q)
-            assert stderrs[j] == pred.stderr
+            mean, stderr = model.predict_many(q)
+            assert means[j] == mean[0] == model.predict_mean(q)
+            assert stderrs[j] == stderr[0]
         # both fall back to equal weights on every copy, ties included
         copies = np.all(X == X[0], axis=1)
-        for q in (X[0], near):
-            pred = model.predict(q, with_kernel=True)
-            assert pred.mean == pytest.approx(y[copies].mean(), abs=1e-12)
-            np.testing.assert_allclose(pred.kernel[copies], 1.0 / 13, atol=1e-12)
-            assert np.all(pred.kernel[~copies] == 0.0)
+        for q, kernel in zip((X[0], near), equivalent_kernel(model, [X[0], near])):
+            assert model.predict_mean(q) == pytest.approx(y[copies].mean(), abs=1e-12)
+            np.testing.assert_allclose(kernel[copies], 1.0 / 13, atol=1e-12)
+            assert np.all(kernel[~copies] == 0.0)
 
     def test_constant_responses_batch_zero_stderr(self):
         rng = np.random.default_rng(16)
@@ -418,12 +424,11 @@ class TestBlockKernel:
         # 50 standard deviations from the data's center, in random diagonal directions
         Q = X.mean(axis=0) + 50 * X.std(axis=0, ddof=1) * rng.choice([-1.0, 1.0], size=(6, d))
         batch_means, _ = model.predict_many(Q)
-        for q, batch_mean in zip(Q, batch_means):
-            pred = model.predict(q, with_kernel=True)
+        for q, batch_mean, kernel in zip(Q, batch_means, equivalent_kernel(model, Q)):
             mean_o, l_o = dense_wls_oracle(X, y, q, 0.5, 1)
-            assert pred.mean == batch_mean
-            assert pred.mean == pytest.approx(mean_o, rel=1e-8)
-            np.testing.assert_allclose(pred.kernel, l_o, rtol=0, atol=1e-8 * np.abs(l_o).max())
+            assert batch_mean == model.predict_many(q)[0][0]
+            assert batch_mean == pytest.approx(mean_o, rel=1e-8)
+            np.testing.assert_allclose(kernel, l_o, rtol=0, atol=1e-8 * np.abs(l_o).max())
 
 
 def drawn_with_replacement(rng, n_sites, n, d):
@@ -448,18 +453,18 @@ class TestRepeatedSites:
         model = fit(X, y, LoessConfig(span=span))
         assert model._columns.shape[1] == len(np.unique(X, axis=0)) < n
         Q = np.vstack([X[:3], rng.uniform(0.5, 4.5, size=(5, d))])
-        means, stderrs = model.predict_many(Q)
-        for q, mean, stderr in zip(Q, means, stderrs):
-            pred = model.predict(q, with_kernel=True)
-            assert not pred.degenerate
+        means, stderrs, knorm, sigma2, degenerate = local_fits(model, Q)
+        assert not degenerate.any()
+        np.testing.assert_array_equal(model.predict_many(Q), (means, stderrs))
+        for j, (q, kernel) in enumerate(zip(Q, equivalent_kernel(model, Q))):
             mean_o, l_o = dense_wls_oracle(X, y, q, span, 1)
-            assert mean == pred.mean == pytest.approx(mean_o, abs=1e-10)
-            np.testing.assert_allclose(pred.kernel, l_o, rtol=0, atol=1e-10)
-            assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose((stderr, pred.kernel_norm, pred.local_sigma2),
+            assert means[j] == pytest.approx(mean_o, abs=1e-10)
+            np.testing.assert_allclose(kernel, l_o, rtol=0, atol=1e-10)
+            assert kernel.sum() == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose((stderrs[j], knorm[j], sigma2[j]),
                                        dense_wls_stderr(X, y, q, span), rtol=1e-10, atol=0)
             for site in np.unique(X, axis=0):  # copies of a site get equal entries
-                entries = pred.kernel[np.all(X == site, axis=1)]
+                entries = kernel[np.all(X == site, axis=1)]
                 assert np.all(entries == entries[0])
 
     def test_boundary_site_counts_every_copy(self):
@@ -469,11 +474,11 @@ class TestRepeatedSites:
         y = np.random.default_rng(31).normal(size=10)
         model = fit(X, y, LoessConfig(span=0.5))
         q = np.array([[0.0]])
-        k_size = model._weigh(q / model.normalization, True, False)[3]
+        k_size = model._weigh(q / model.normalization, True)[3]
         members = oracle_weights(X, q[0], 0.5, 1)[1]
         assert k_size[0] == members.sum() == 6
-        pred = model.predict(q[0])
-        np.testing.assert_allclose((pred.stderr, pred.kernel_norm, pred.local_sigma2),
+        _, stderr, knorm, sigma2, _ = local_fits(model, q)
+        np.testing.assert_allclose((stderr[0], knorm[0], sigma2[0]),
                                    dense_wls_stderr(X, y, q[0], 0.5), rtol=1e-10, atol=0)
 
     def test_singular_fallback(self):
@@ -482,12 +487,13 @@ class TestRepeatedSites:
         X = X[np.random.default_rng(32).integers(0, 10, 30)]
         y = np.arange(30.0) ** 0.5
         model = fit(X, y, LoessConfig(span=0.5))
-        for q in ([4.0, 3.0], [4.5, 3.0]):
-            pred = model.predict(q, with_kernel=True)
-            assert pred.degenerate
-            assert pred.kernel.sum() == pytest.approx(1.0, abs=1e-12)
-            assert pred.mean == pytest.approx(pred.kernel @ y, abs=1e-12)
-            assert pred.mean == model.predict_many([q])[0][0] == model.predict_mean(q)
+        Q = np.array([[4.0, 3.0], [4.5, 3.0]])
+        means, _, _, _, degenerate = local_fits(model, Q)
+        kernel = equivalent_kernel(model, Q)
+        assert degenerate.all()
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(means, kernel @ y, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(means, [model.predict_mean(q) for q in Q])
 
     def test_ill_conditioned_fallback(self, monkeypatch):
         # Sites of pool A lie within 1e-4 of x2 = 0, pool B spreads in x2;
@@ -502,16 +508,48 @@ class TestRepeatedSites:
         y = rng.normal(size=150) + X[:, 0]
         model = fit(X, y, LoessConfig(span=0.2))
         Q = np.column_stack([rng.uniform(2, 18, 8), np.full(8, 0.01)])
-        explicit = []
-        weigh = model._weigh
+        passes = []
+        weights = model._weights
 
-        def spy(q, with_se, with_kernel):
-            explicit.append(with_kernel)
-            return weigh(q, with_se, with_kernel)
+        def spy(q):
+            passes.append(len(q))
+            return weights(q)
 
-        monkeypatch.setattr(model, "_weigh", spy)
+        monkeypatch.setattr(model, "_weights", spy)
         _, stderrs = model.predict_many(Q)
-        assert explicit.count(True) == 1  # one explicit pass over the ill rows
+        assert passes == [8, 8]  # the block's pass, then one explicit pass over the ill rows
         reference = [dense_wls_stderr(X, y, q, 0.2)[0] for q in Q]
         # both sides lose digits to the conditioning, the oracle the more
         np.testing.assert_allclose(stderrs, reference, rtol=1e-9, atol=0)
+
+
+class TestLinearity:
+    """The fitted mean is linear in the responses: criterion 4 and the
+    kernel-row tests read the equivalent kernel off it (`equivalent_kernel`)."""
+
+    @pytest.mark.parametrize("design", ["repeated", "flat", "singular"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mean_is_linear_in_responses(self, design, seed):
+        rng = np.random.default_rng(500 + seed)
+        if design == "repeated":  # drawn with replacement from 20 sites
+            d = 1 + seed % 3
+            X = drawn_with_replacement(rng, 20, 60, d)
+            span, Q = 0.4, np.vstack([X[:5], rng.uniform(0, 5, size=(10, d))])
+        elif design == "flat":  # 13 copies of a corner site fill its neighborhood (k = 13)
+            X = np.vstack([np.zeros((13, 2)), rng.uniform(0, 1, size=(30, 2))])
+            span, Q = 0.3, np.vstack([X[0], X[0] + 1e-6, rng.uniform(0.5, 1, size=(8, 2))])
+        else:  # a constant coordinate: every local system is singular
+            X = np.column_stack([np.arange(10.0), np.full(10, 3.0)])[rng.integers(0, 10, 30)]
+            span, Q = 0.5, np.column_stack([rng.uniform(0, 9, 10), np.full(10, 3.0)])
+        config = LoessConfig(span=span)
+        model = fit(X, np.zeros(len(X)), config)
+        if design == "flat":
+            assert model._weights(Q[:2] / model.normalization)[1][0] == 0.0
+        if design == "singular":
+            assert local_fits(model, Q)[4].all()
+        y1, y2 = rng.normal(size=(2, len(X))) * 10.0 ** rng.uniform(-3, 3, size=(2, 1))
+        a, b = rng.normal(size=2)
+        m1, m2, combined = (fit(X, y, config).predict_mean_many(Q)
+                            for y in (y1, y2, a * y1 + b * y2))
+        scale = np.abs(a * m1) + np.abs(b * m2)
+        assert np.all(np.abs(combined - (a * m1 + b * m2)) <= 1e-12 * scale)
